@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Iterable, Iterator, Sequence
+from itertools import chain, product
+from math import lcm
+from typing import Iterable, Iterator
 
 from .errors import PreconditionError, UsageError
 from .rational import Scalar
@@ -136,12 +137,6 @@ class Normalization:
             out[a] = shifted[j]
         return tuple(out)
 
-    def apply_set(self, ps: PointSet) -> PointSet:
-        return PointSet(tuple(self.apply(p) for p in ps), ps.dimension)
-
-    def invert_set(self, ps: PointSet) -> PointSet:
-        return PointSet(tuple(self.invert(p) for p in ps), ps.dimension)
-
 
 def normalize(ps: PointSet) -> tuple[PointSet, Normalization]:
     """Relabel axes so the longest box side is axis d, centered at 0.
@@ -149,15 +144,9 @@ def normalize(ps: PointSet) -> tuple[PointSet, Normalization]:
     Ties among longest sides go to the smallest axis index. The returned
     transform maps original points to normalized ones; ``invert`` undoes it.
     """
-    box = smallest_enclosing_box(ps)
-    sides = box.sides
-    h = box.longest_side
-    longest = min(i for i, s in enumerate(sides) if s == h)
-    order = tuple(i for i in range(ps.dimension) if i != longest) + (longest,)
-    mid = (box.lo[longest] + box.hi[longest]) / 2
-    translation = (Fraction(0),) * (ps.dimension - 1) + (-mid,)
-    norm = Normalization(order, translation)
-    return norm.apply_set(ps), norm
+    fr = int_frame(ps)
+    psn = tuple(tuple(fr.value(v) for v in p) for p in fr.pts)
+    return PointSet(psn, ps.dimension), fr.nrm
 
 
 @dataclass(frozen=True)
@@ -173,10 +162,6 @@ class CenterDomain:
     box: Box
     degeneracy_rank: int
 
-    @property
-    def diameter(self) -> Scalar:
-        return self.box.longest_side
-
 
 def center_domain(psn: PointSet) -> CenterDomain:
     """Center domain of a normalized point set.
@@ -184,17 +169,92 @@ def center_domain(psn: PointSet) -> CenterDomain:
     Per axis i < d the interval is [max_i - h/2, min_i + h/2]; every such
     interval is nonempty because h is the longest box side.
     """
-    box = smallest_enclosing_box(psn)
-    h = box.longest_side
-    half = h / 2
-    lo = []
-    hi = []
-    for i in range(psn.dimension - 1):
-        lo.append(box.hi[i] - half)
-        hi.append(box.lo[i] + half)
-    cbox = Box(tuple(lo), tuple(hi))
-    rank = sum(1 for a, b in zip(cbox.lo, cbox.hi) if a == b)
-    return CenterDomain(half, cbox, rank)
+    return scaled_frame(psn).domain()
+
+
+def even_scale(values: Iterable[Scalar]) -> int:
+    """Twice the lcm of the denominators: each value times it is an even int."""
+    return 2 * lcm(*{v.denominator for v in values})
+
+
+@dataclass(frozen=True)
+class IntFrame:
+    """A point set and its center domain on integers, scaled by one factor U.
+
+    ``pts`` holds the frame's points times U, in input order; ``half`` is
+    the outer radius and ``box`` the center box (lo_0, hi_0, lo_1, hi_1,
+    ...) times U. Every value is an even integer, so the midpoint of two
+    of them is an integer too. ``nrm`` maps original points to the frame's
+    unscaled ones. Like a PointSet, a frame iterates over its points.
+    """
+
+    U: int
+    pts: list[tuple[int, ...]]
+    nrm: Normalization
+    half: int
+    box: tuple[int, ...]
+
+    def __len__(self) -> int:
+        return len(self.pts)
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return iter(self.pts)
+
+    def value(self, v: int) -> Fraction:
+        """A frame integer as the rational it stands for."""
+        return Fraction(v, self.U)
+
+    def domain(self) -> CenterDomain:
+        lo = tuple(self.value(v) for v in self.box[0::2])
+        hi = tuple(self.value(v) for v in self.box[1::2])
+        rank = sum(1 for a, b in zip(lo, hi) if a == b)
+        return CenterDomain(self.value(self.half), Box(lo, hi), rank)
+
+
+def _scaled_columns(ps: PointSet, extra) -> tuple[int, list[list[int]]]:
+    U = even_scale(chain(chain.from_iterable(ps), extra))
+    return U, [[c.numerator * (U // c.denominator) for c in col]
+               for col in zip(*ps)]
+
+
+def _frame(U, cols, nrm) -> IntFrame:
+    # per axis i < d the center interval is [max_i - h/2, min_i + h/2]
+    lo = [min(col) for col in cols]
+    hi = [max(col) for col in cols]
+    half = max(b - a for a, b in zip(lo, hi)) // 2
+    box = tuple(v for a, b in zip(lo[:-1], hi[:-1]) for v in (b - half, a + half))
+    return IntFrame(U, list(zip(*cols)), nrm, half, box)
+
+
+def int_frame(ps: PointSet) -> IntFrame:
+    """Normalize ps as ``normalize`` does and scale it to integers, in one pass.
+
+    U is twice the lcm of the input denominators, doubled once more when
+    the longest axis has an odd midpoint, which centering would otherwise
+    leave in odd coordinates.
+    """
+    U, cols = _scaled_columns(ps, ())
+    sides = [max(col) - min(col) for col in cols]
+    longest = sides.index(max(sides))
+    mid = (min(cols[longest]) + max(cols[longest])) // 2
+    if mid % 2:
+        U, mid = 2 * U, 2 * mid
+        cols = [[2 * v for v in col] for col in cols]
+    order = tuple(i for i in range(ps.dimension) if i != longest) + (longest,)
+    cols = [cols[a] for a in order[:-1]] + [[v - mid for v in cols[longest]]]
+    translation = (Fraction(0),) * (ps.dimension - 1) + (Fraction(-mid, U),)
+    return _frame(U, cols, Normalization(order, translation))
+
+
+def scaled_frame(psn: PointSet, *extra: Scalar) -> IntFrame:
+    """The frame of a point set taken as already normalized.
+
+    The denominators of ``extra`` join U, so those values are frame
+    integers too.
+    """
+    U, cols = _scaled_columns(psn, extra)
+    d = psn.dimension
+    return _frame(U, cols, Normalization(tuple(range(d)), (Fraction(0),) * d))
 
 
 def is_smallest_enclosing_cube(ps: PointSet, center: Coords, radius: Scalar) -> bool:

@@ -1,33 +1,26 @@
 """Minimum-width shell solvers for dimensions 1, 2, and 3.
 
-The d = 3 solver normalizes the input, then maximizes the inner radius
-over the center domain two ways: a binary search over the plateau levels
-(driven by the coverage decision procedure) and a scan of nearest-site
-diagram candidates, keeping whichever is larger. d = 2 reduces to the
-maximum of a one-dimensional lower envelope over an interval; d = 1 is
-closed form.
+Each solver normalizes and scales its input once, into an IntFrame, and
+works on its integers; values become rationals only in the result. The
+d = 3 solver maximizes the inner radius over the center domain two ways:
+a binary search over the plateau levels (driven by the coverage decision
+procedure) and a scan of nearest-site diagram candidates, keeping
+whichever is larger. d = 2 reduces to the maximum of a one-dimensional
+lower envelope over an interval; d = 1 is closed form.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
+from math import floor, lcm
+from operator import sub
 
 from .errors import UnsupportedDimensionError, UsageError
-from .geometry import (
-    CenterDomain,
-    Normalization,
-    PlanarPoint,
-    PointSet,
-    center_domain,
-    linf_dist,
-    normalize,
-    smallest_enclosing_box,
-)
+from .geometry import IntFrame, PlanarPoint, PointSet, int_frame, scaled_frame
 from .rational import Scalar
-from .shell import Shell, lift, lifted_dist, planar_dist
-from .squares import decide
+from .shell import Shell, lift
+from .squares import uncovered_scaled
 from .voronoi import Site, build_voronoi, vd_candidates_in_rect
 
 
@@ -53,41 +46,45 @@ class SolveResult:
         return self.shell.width
 
 
-def solve_plateau_case(psn: PointSet):
+def _frame_of(psn: PointSet | IntFrame) -> IntFrame:
+    return psn if isinstance(psn, IntFrame) else scaled_frame(psn)
+
+
+def solve_plateau_case(psn: PointSet | IntFrame):
     """Largest height level at which the decision procedure still says yes.
 
-    Monotonicity of the decision in the radius makes the binary search
-    over the sorted distinct levels valid. Returns (level, center) or None
-    when even the smallest level is infeasible.
+    psn is a normalized point set or its IntFrame. Monotonicity of the
+    decision in the radius makes the binary search over the sorted
+    distinct levels valid. The points are sorted by height once, so the
+    squares active at a level are a prefix of that order. Returns
+    (level, center); the lowest level is always feasible, since no square
+    is active there.
     """
-    levels = sorted({abs(p[-1]) for p in psn})
+    fr = _frame_of(psn)
+    pts = sorted(fr.pts, key=lambda p: abs(p[-1]))
+    heights = [abs(p[-1]) for p in pts]
+    xs = [p[0] for p in pts]
+    ys = [p[1] for p in pts]
+    levels = sorted(set(heights))
     lo, hi = 0, len(levels) - 1
     best = None
     while lo <= hi:
         mid = (lo + hi) // 2
-        ok, witness = decide(psn, levels[mid])
-        if ok:
-            best = (levels[mid], witness)
+        k = bisect_left(heights, levels[mid])
+        hit = uncovered_scaled(xs[:k], ys[:k], levels[mid], fr.box)
+        if hit is not None:
+            best = (fr.value(levels[mid]), (fr.value(hit[0]), fr.value(hit[1])))
             lo = mid + 1
         else:
             hi = mid - 1
     return best
 
 
-def _dist_to_box(p, box) -> Scalar:
-    d = Fraction(0)
-    for v, a, b in zip(p, box.lo, box.hi):
-        if v < a:
-            d = max(d, a - v)
-        elif v > b:
-            d = max(d, v - b)
-    return d
-
-
-def solve_voronoi_case(psn: PointSet, level: Scalar | None = None):
+def solve_voronoi_case(psn: PointSet | IntFrame, level: Scalar | None = None):
     """Best center among nearest-site diagram candidates in the domain.
 
-    Returns ((value, center) or None, number of candidates examined).
+    psn is a normalized point set or its IntFrame. Returns ((value,
+    center) or None, number of candidates examined).
 
     The decision search fixes the largest feasible height level; between
     that level and the next one up, only points at or below it can pull
@@ -99,21 +96,27 @@ def solve_voronoi_case(psn: PointSet, level: Scalar | None = None):
     given, every point counts as low; the result is then still a valid
     lower bound on the optimum.
     """
-    dom = center_domain(psn)
+    fr = _frame_of(psn)
+    # heights are frame integers, so |z| <= level exactly when |z| <= floor
+    top = None if level is None else floor(level * fr.U)
     merged: dict[tuple, list[int]] = {}
-    for i, p in enumerate(psn):
-        if level is None or abs(p[-1]) <= level:
+    for i, p in enumerate(fr.pts):
+        if top is None or abs(p[-1]) <= top:
             merged.setdefault((p[0], p[1]), []).append(i)
     if not merged:
         return None, 0
     # sites further from the domain than this bound are never nearest
     # anywhere inside it, so dropping them changes no candidate
-    c0 = dom.box.midpoint
-    d_mid = min(max(abs(x - c0[0]), abs(y - c0[1])) for x, y in merged)
-    cutoff = d_mid + dom.diameter
-    kept = sorted(loc for loc in merged if _dist_to_box(loc, dom.box) <= cutoff)
-    sites = [Site(loc, tuple(merged[loc])) for loc in kept]
+    X0, X1, Y0, Y1 = fr.box
+    cx, cy = (X0 + X1) // 2, (Y0 + Y1) // 2
+    d_mid = min(max(abs(x - cx), abs(y - cy)) for x, y in merged)
+    cutoff = d_mid + max(X1 - X0, Y1 - Y0)
+    kept = sorted((x, y) for x, y in merged
+                  if max(X0 - x, x - X1, Y0 - y, y - Y1) <= cutoff)
+    sites = [Site((fr.value(x), fr.value(y)), tuple(merged[(x, y)]))
+             for x, y in kept]
 
+    dom = fr.domain()
     vd = build_voronoi(sites, frame=dom.box)
     cands = vd_candidates_in_rect(vd, dom)
     best = None
@@ -125,53 +128,62 @@ def solve_voronoi_case(psn: PointSet, level: Scalar | None = None):
     return best, len(cands)
 
 
-def _contacts(psn: PointSet, center_planar: PlanarPoint, h2: Scalar, rstar: Scalar):
-    center_full = lift(center_planar)
-    outer = tuple(i for i, p in enumerate(psn)
-                  if linf_dist(p, center_full) == h2)
-    inner = tuple(i for i, p in enumerate(psn)
-                  if lifted_dist(p, center_planar) == rstar)
-    return outer, inner
+def _contacts(fr: IntFrame, center_planar: PlanarPoint, rstar: Scalar):
+    """Points on the outer and on the inner cube, found on integers.
+
+    A diagram candidate's denominator need not divide U; the frame is then
+    refined by the lcm m of what is left, which makes the center exact.
+    """
+    scaled = [v * fr.U for v in center_planar]
+    m = lcm(*(v.denominator for v in scaled))
+    center = [v.numerator * (m // v.denominator) for v in scaled] + [0]
+    outer_r = fr.half * m
+    # an integer: rstar is the distance from the center to some point
+    inner_r = int(rstar * fr.U * m)
+    pts = fr.pts if m == 1 else ([v * m for v in p] for p in fr.pts)
+    outer, inner = [], []
+    for i, p in enumerate(pts):
+        d = max(map(abs, map(sub, p, center)))
+        if d == outer_r:
+            outer.append(i)
+        if d == inner_r:
+            inner.append(i)
+    return tuple(outer), tuple(inner)
 
 
-def _finish(nrm: Normalization, psn: PointSet, dom: CenterDomain,
-            rstar: Scalar, center_planar: PlanarPoint, tag: str,
-            count: int, plateau_value: Scalar | None = None,
+def _finish(fr: IntFrame, center_planar: PlanarPoint, rstar: Scalar, tag: str,
+            count: int, contacts, plateau_value: Scalar | None = None,
             voronoi_value: Scalar | None = None) -> SolveResult:
-    outer, inner = _contacts(psn, center_planar, dom.half_side, rstar)
-    center = nrm.invert(lift(center_planar))
-    shell = Shell(center, dom.half_side, rstar)
-    return SolveResult(shell, rstar, tag, count, outer, inner,
+    center = fr.nrm.invert(lift(center_planar))
+    shell = Shell(center, fr.value(fr.half), rstar)
+    return SolveResult(shell, rstar, tag, count, *contacts,
                        plateau_value, voronoi_value)
+
+
+def _corner_shell(fr: IntFrame) -> SolveResult:
+    """Width-0 shell centered at the domain's low corner."""
+    c = tuple(fr.value(v) for v in fr.box[0::2])
+    rstar = fr.value(fr.half)
+    return _finish(fr, c, rstar, "plateau", 0, _contacts(fr, c, rstar))
 
 
 def solve3d(ps: PointSet) -> SolveResult:
     if ps.dimension != 3:
         raise UsageError("solve3d expects dimension 3")
-    psn, nrm = normalize(ps)
-    dom = center_domain(psn)
-    if len(psn) <= 2:
+    fr = int_frame(ps)
+    if len(fr) <= 2:
         # one or two points always admit a width-0 shell
-        c = dom.box.corners()[0]
-        return _finish(nrm, psn, dom, dom.half_side, c, "plateau", 0)
-    case1 = solve_plateau_case(psn)
-    case2, count = solve_voronoi_case(psn, case1[0] if case1 else None)
-    if case1 is None and case2 is None:
-        # unreachable for distinct points; degenerate width-0 fallback
-        return _finish(nrm, psn, dom, dom.half_side, dom.box.corners()[0],
-                       "both", count)
-    r1 = case1[0] if case1 is not None else None
-    r2 = case2[0] if case2 is not None else None
-    if case2 is None or (case1 is not None and case1[0] > case2[0]):
-        rstar, c = case1
-        tag = "plateau"
-    elif case1 is None or case2[0] > case1[0]:
-        rstar, c = case2
-        tag = "voronoi"
+        return _corner_shell(fr)
+    # Neither regime comes back empty: no square is active at the lowest
+    # height, so that level is feasible, and the points at or below it
+    # give the diagram at least one site.
+    r1, c1 = solve_plateau_case(fr)
+    (r2, c2), count = solve_voronoi_case(fr, r1)
+    if r1 > r2:
+        rstar, c, tag = r1, c1, "plateau"
     else:
-        rstar, c = case2
-        tag = "both"
-    return _finish(nrm, psn, dom, rstar, c, tag, count, r1, r2)
+        rstar, c, tag = r2, c2, ("voronoi" if r2 > r1 else "both")
+    return _finish(fr, c, rstar, tag, count, _contacts(fr, c, rstar), r1, r2)
 
 
 # ---------------------------------------------------------------------------
@@ -193,20 +205,14 @@ def _switch_point(xi, wi, xj, wj):
 def solve2d(ps: PointSet) -> SolveResult:
     if ps.dimension != 2:
         raise UsageError("solve2d expects dimension 2")
-    psn, nrm = normalize(ps)
-    dom = center_domain(psn)
-    if len(psn) <= 2:
-        c = dom.box.corners()[0]
-        return _finish(nrm, psn, dom, dom.half_side, c, "plateau", 0)
+    fr = int_frame(ps)
+    if len(fr) <= 2:
+        return _corner_shell(fr)
 
-    dens = {c.denominator for p in psn for c in p}
-    U = 2 * lcm(*dens)
-    lo_c = int(dom.box.lo[0] * U)
-    hi_c = int(dom.box.hi[0] * U)
+    lo_c, hi_c = fr.box
     narrow: dict[int, int] = {}
-    for p in psn:
-        x = int(p[0] * U)
-        w = abs(int(p[1] * U))
+    for x, z in fr.pts:
+        w = abs(z)
         if x not in narrow or w < narrow[x]:
             narrow[x] = w
 
@@ -243,28 +249,25 @@ def solve2d(ps: PointSet) -> SolveResult:
             if best_v is None or v > best_v or (v == best_v and c < best_c):
                 best_v, best_c = v, c
 
-    rstar = Fraction(best_v, U)
-    c_star = (Fraction(best_c, U),)
-    plateau_hit = any(abs(p[-1]) == rstar for p in psn
-                      if lifted_dist(p, c_star) == rstar)
-    voronoi_hit = any(planar_dist(p, c_star) == rstar for p in psn
-                      if lifted_dist(p, c_star) == rstar)
+    rstar = fr.value(best_v)
+    c_star = (fr.value(best_c),)
+    outer, inner = _contacts(fr, c_star, rstar)
+    # the inner contacts are the points at lifted distance r*; the tag says
+    # whether a height, a planar distance, or both reach it there
+    plateau_hit = any(abs(fr.pts[i][-1]) == best_v for i in inner)
+    voronoi_hit = any(abs(fr.pts[i][0] - best_c) == best_v for i in inner)
     tag = "both" if plateau_hit and voronoi_hit else (
         "plateau" if plateau_hit else "voronoi")
-    return _finish(nrm, psn, dom, rstar, c_star, tag, count)
+    return _finish(fr, c_star, rstar, tag, count, (outer, inner))
 
 
 def solve1d(ps: PointSet) -> SolveResult:
     if ps.dimension != 1:
         raise UsageError("solve1d expects dimension 1")
-    box = smallest_enclosing_box(ps)
-    mid = box.midpoint[0]
-    h2 = box.longest_side / 2
-    inner = min(abs(p[0] - mid) for p in ps)
-    outer_idx = tuple(i for i, p in enumerate(ps) if abs(p[0] - mid) == h2)
-    inner_idx = tuple(i for i, p in enumerate(ps) if abs(p[0] - mid) == inner)
-    shell = Shell((mid,), h2, inner)
-    return SolveResult(shell, inner, "plateau", len(ps), outer_idx, inner_idx)
+    # the frame centers the points, so the center is 0 there
+    fr = int_frame(ps)
+    inner = fr.value(min(abs(x) for x, in fr.pts))
+    return _finish(fr, (), inner, "plateau", len(ps), _contacts(fr, (), inner))
 
 
 def solve(ps: PointSet) -> SolveResult:

@@ -11,20 +11,19 @@ All sweep arithmetic runs on scaled integers; public results are rationals.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 
 from .errors import PreconditionError, UsageError
 from .geometry import (
-    Box,
     CenterDomain,
     PlanarPoint,
     PointSet,
-    center_domain,
+    even_scale,
+    scaled_frame,
     smallest_enclosing_box,
 )
 from .rational import Scalar
@@ -190,9 +189,7 @@ def union_of_squares(squares) -> UnionBoundary:
     if any(s.radius != radius for s in squares):
         raise PreconditionError("union requires equal radii")
     centers = sorted({(Fraction(s.center[0]), Fraction(s.center[1])) for s in squares})
-    dens = {radius.denominator if isinstance(radius, Fraction) else 1}
-    dens.update(v.denominator for c in centers for v in c)
-    U = lcm(*dens)
+    U = even_scale([radius, *(v for c in centers for v in c)])
     sq = [(int(x * U), int(y * U)) for x, y in centers]
     w = int(Fraction(radius) * U)
 
@@ -358,103 +355,37 @@ def decide(ps: PointSet, r: Scalar) -> tuple[bool, PlanarPoint | None]:
         raise UsageError("decide expects dimension 3")
     _check_normalized(ps)
     r = Fraction(r)
-    dens = {c.denominator for p in ps for c in p}
-    dens.add(r.denominator)
-    U = 2 * lcm(*dens)
-    w = int(r * U)
-    dom = center_domain(ps)
-    box = (int(dom.box.lo[0] * U), int(dom.box.hi[0] * U),
-           int(dom.box.lo[1] * U), int(dom.box.hi[1] * U))
+    fr = scaled_frame(ps, r)
+    w = r.numerator * (fr.U // r.denominator)
     cxs, cys = [], []
-    for p in ps:
-        if abs(int(p[2] * U)) < w:
-            cxs.append(int(p[0] * U))
-            cys.append(int(p[1] * U))
-    hit = uncovered_scaled(cxs, cys, w, box)
+    for x, y, z in fr.pts:
+        if abs(z) < w:
+            cxs.append(x)
+            cys.append(y)
+    hit = uncovered_scaled(cxs, cys, w, fr.box)
     if hit is None:
         return (False, None)
-    return (True, (Fraction(hit[0], U), Fraction(hit[1], U)))
+    return (True, (fr.value(hit[0]), fr.value(hit[1])))
 
 
 def uncovered_witness(dom: CenterDomain, squares, w: Scalar) -> PlanarPoint | None:
     """Center in the domain outside every open square, if one exists.
 
-    Tries the arrangement candidates (union-boundary vertices in the box,
-    boundary-edge crossings with the box border, box corners) first, then
-    falls back to the exact strip sweep; the uncovered set can have measure
-    zero, which only the sweep is guaranteed to see.
+    Scales the box, the square centers and w to even integers by one
+    factor and runs the exact strip sweep; the uncovered set can have
+    measure zero, which the sweep still sees.
     """
     squares = list(squares)
-    w = Fraction(w)
-
-    def clear(c) -> bool:
-        return all(max(abs(c[0] - s.center[0]), abs(c[1] - s.center[1])) >= s.radius
-                   for s in squares)
-
     box = dom.box
-    candidates: list[PlanarPoint] = []
-    if squares:
-        ub = union_of_squares(squares)
-        candidates.extend(v for v in ub.vertices if box.contains(v))
-        candidates.extend(_border_hits(ub.edges, box))
-    candidates.extend(box.corners())
-    for c in candidates:
-        if box.contains(c) and clear(c):
-            return c
-    dens = {w.denominator}
-    dens.update(v.denominator for b in (box.lo, box.hi) for v in b)
-    dens.update(Fraction(v).denominator for s in squares for v in (*s.center, s.radius))
-    U = 2 * lcm(*dens)
-    ibox = (int(box.lo[0] * U), int(box.hi[0] * U), int(box.lo[1] * U), int(box.hi[1] * U))
-    cxs = [int(Fraction(s.center[0]) * U) for s in squares]
-    cys = [int(Fraction(s.center[1]) * U) for s in squares]
-    hit = uncovered_scaled(cxs, cys, int(w * U), ibox)
+    U = even_scale([w, *box.lo, *box.hi, *(v for s in squares for v in s.center)])
+
+    def scaled(v) -> int:
+        return v.numerator * (U // v.denominator)
+
+    hit = uncovered_scaled([scaled(s.center[0]) for s in squares],
+                           [scaled(s.center[1]) for s in squares], scaled(w),
+                           (scaled(box.lo[0]), scaled(box.hi[0]),
+                            scaled(box.lo[1]), scaled(box.hi[1])))
     if hit is None:
         return None
     return (Fraction(hit[0], U), Fraction(hit[1], U))
-
-
-def _border_hits(edges, box: Box) -> list[PlanarPoint]:
-    """Intersections of axis-parallel segments with a box border."""
-    X0, Y0 = box.lo
-    X1, Y1 = box.hi
-    out = []
-    borders = [
-        ((X0, Y0), (X1, Y0)), ((X0, Y1), (X1, Y1)),
-        ((X0, Y0), (X0, Y1)), ((X1, Y0), (X1, Y1)),
-    ]
-    for (a, b) in edges:
-        for (c, d) in borders:
-            out.extend(_seg_cross(a, b, c, d))
-    return sorted(set(out))
-
-
-def _seg_cross(a, b, c, d):
-    """Crossing points of two axis-parallel segments (overlaps -> endpoints)."""
-    a_vert = a[0] == b[0]
-    c_vert = c[0] == d[0]
-    if a_vert != c_vert:
-        if a_vert:
-            x, (ylo, yhi) = a[0], sorted((a[1], b[1]))
-            y, (xlo, xhi) = c[1], sorted((c[0], d[0]))
-        else:
-            x, (ylo, yhi) = c[0], sorted((c[1], d[1]))
-            y, (xlo, xhi) = a[1], sorted((a[0], b[0]))
-        if xlo <= x <= xhi and ylo <= y <= yhi:
-            return [(x, y)]
-        return []
-    if a_vert:
-        if a[0] != c[0]:
-            return []
-        lo = max(min(a[1], b[1]), min(c[1], d[1]))
-        hi = min(max(a[1], b[1]), max(c[1], d[1]))
-        if lo > hi:
-            return []
-        return [(a[0], lo), (a[0], hi)]
-    if a[1] != c[1]:
-        return []
-    lo = max(min(a[0], b[0]), min(c[0], d[0]))
-    hi = min(max(a[0], b[0]), max(c[0], d[0]))
-    if lo > hi:
-        return []
-    return [(lo, a[1]), (hi, a[1])]

@@ -6,12 +6,13 @@ from hypothesis import given, strategies as st
 
 from conftest import CUBE8, pts, rand_points
 from cubeshell.errors import UnsupportedDimensionError
-from cubeshell.geometry import (center_domain, is_smallest_enclosing_cube,
+from cubeshell.geometry import (center_domain, int_frame,
+                                is_smallest_enclosing_cube, linf_dist,
                                 normalize, smallest_enclosing_box)
 from cubeshell.oracle import (exact_oracle_2d, exact_oracle_3d,
                               oracle_plateau_level, oracle_voronoi_level)
 from cubeshell.shell import inner_radius_at, lift, shell_encloses
-from cubeshell.solver import (solve, solve1d, solve2d, solve3d,
+from cubeshell.solver import (_contacts, solve, solve1d, solve2d, solve3d,
                               solve_plateau_case, solve_voronoi_case)
 
 F = Fraction
@@ -138,6 +139,54 @@ class TestSolve3d:
             assert linf_dist(ps.points[i], center) == res.shell.outer_radius
         for i in res.inner_contacts:
             assert linf_dist(ps.points[i], center) == res.shell.inner_radius
+
+
+def _fraction_contacts(ps, center, outer_radius, inner_radius):
+    dists = [linf_dist(p, center) for p in ps]
+    return (tuple(i for i, d in enumerate(dists) if d == outer_radius),
+            tuple(i for i, d in enumerate(dists) if d == inner_radius))
+
+
+def _mixed_points(rng, n, dim):
+    return pts(*[[F(rng.randint(-6 * q, 6 * q), q)
+                  for q in (rng.randint(1, 7) for _ in range(dim))]
+                 for _ in range(n)])
+
+
+class TestContacts:
+    """Integer contacts equal a Fraction recomputation on the input."""
+
+    def test_3d_every_case_tag(self, rng):
+        tags = set()
+        for _ in range(60):
+            ps = _mixed_points(rng, rng.randint(3, 14), 3)
+            res = solve3d(ps)
+            sh = res.shell
+            assert (res.outer_contacts, res.inner_contacts) == _fraction_contacts(
+                ps, sh.center, sh.outer_radius, sh.inner_radius)
+            tags.add(res.case_tag)
+        assert tags == {"plateau", "voronoi", "both"}
+
+    def test_2d(self, rng):
+        for _ in range(40):
+            ps = _mixed_points(rng, rng.randint(3, 20), 2)
+            res = solve2d(ps)
+            sh = res.shell
+            assert (res.outer_contacts, res.inner_contacts) == _fraction_contacts(
+                ps, sh.center, sh.outer_radius, sh.inner_radius)
+
+    def test_center_off_the_frame_grid(self, rng):
+        # a center whose denominator does not divide U is refined exactly
+        for _ in range(20):
+            ps = _mixed_points(rng, rng.randint(3, 14), 3)
+            psn, _ = normalize(ps)
+            fr = int_frame(ps)
+            c = (center_domain(psn).box.lo[0] + F(1, 3 * fr.U),
+                 psn.points[0][1])
+            rstar = inner_radius_at(psn, c)
+            got = _contacts(fr, c, rstar)
+            assert got == _fraction_contacts(psn, lift(c), fr.value(fr.half), rstar)
+            assert got[1]
 
 
 class TestSolve2d:

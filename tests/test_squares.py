@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import CUBE8, pts, rand_points
-from cubeshell.errors import UsageError
+from cubeshell.errors import PreconditionError, UsageError
 from cubeshell.geometry import Box, CenterDomain, center_domain, normalize
 from cubeshell.oracle import (exact_oracle_3d, union_area_brute,
                               union_vertices_brute)
 from cubeshell.shell import inner_radius_at
-from cubeshell.squares import (Square, clip_ball, decide, uncovered_witness,
-                               union_of_squares)
+from cubeshell.squares import (_NP_LIMIT, _NP_MIN_SIZE, Square, _prefilter,
+                               clip_ball, decide, uncovered_scaled,
+                               uncovered_witness, union_of_squares)
 
 F = Fraction
 
@@ -117,6 +118,12 @@ class TestDecide:
         with pytest.raises(UsageError):
             decide(CUBE8, F(-1))
 
+    def test_unnormalized_rejected(self):
+        # longest axis first, then longest axis last but off center
+        for ps in (pts((0, 0, 0), (4, 1, 2)), pts((0, 0, 0), (1, 2, 4))):
+            with pytest.raises(PreconditionError):
+                decide(ps, F(1))
+
     def test_threshold_against_oracle(self, rng):
         eps = F(1, 10**9)
         for _ in range(12):
@@ -143,3 +150,38 @@ class TestDecide:
                 assert inner_radius_at(psn, witness) >= level
                 dom = center_domain(psn)
                 assert dom.box.contains(witness)
+
+
+class TestInt64Limit:
+    """The numpy and the pure-int prefilter agree on the same squares."""
+
+    def test_scaled_instance_agrees(self, rng):
+        n = _NP_MIN_SIZE + 100
+        xs = [2 * rng.randint(-500, 500) for _ in range(n)]
+        ys = [2 * rng.randint(-500, 500) for _ in range(n)]
+        box = (-400, 400, -300, 500)
+        # smallest even w at which the squares cover the box
+        lo, hi = 0, 2000
+        while hi - lo > 2:
+            mid = (lo + hi) // 4 * 2
+            if uncovered_scaled(xs, ys, mid, box) is None:
+                hi = mid
+            else:
+                lo = mid
+        big = 2**61
+        bxs = [x * big for x in xs]
+        bys = [y * big for y in ys]
+        bbox = tuple(v * big for v in box)
+        assert max(map(abs, xs + ys + [hi])) < _NP_LIMIT
+        assert max(map(abs, bxs)) >= _NP_LIMIT
+        for w in (lo, hi):
+            kx, ky, covered = _prefilter(xs, ys, w, box)
+            assert kx and not covered
+            bkx, bky, bcovered = _prefilter(bxs, bys, w * big, bbox)
+            assert not bcovered
+            assert bkx == [x * big for x in kx] and bky == [y * big for y in ky]
+            hit = uncovered_scaled(xs, ys, w, box)
+            bhit = uncovered_scaled(bxs, bys, w * big, bbox)
+            assert bhit == (None if hit is None else (hit[0] * big, hit[1] * big))
+        assert uncovered_scaled(xs, ys, lo, box) is not None
+        assert uncovered_scaled(xs, ys, hi, box) is None
