@@ -27,6 +27,7 @@ from .svgfig import write_figure
 from .voronoi import build_voronoi, make_sites
 
 PROG = "cubeshell"
+DISTRIBUTIONS = ("uniform", "clustered", "slab")
 
 
 def _read_points(args) -> PointSet:
@@ -255,8 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("gen", help="write a random instance")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dim", type=int, default=3)
-    p.add_argument("--dist", choices=("uniform", "clustered"),
-                   default="uniform")
+    p.add_argument("--dist", choices=DISTRIBUTIONS, default="uniform")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output file; default stdout")
     p.set_defaults(func=cmd_gen)
@@ -265,8 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", required=True,
                    help="comma separated instance sizes")
     p.add_argument("--dim", type=int, default=3)
-    p.add_argument("--dist", choices=("uniform", "clustered"),
-                   default="uniform")
+    p.add_argument("--dist", choices=DISTRIBUTIONS, default="uniform")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)
 

@@ -84,6 +84,24 @@ def _clustered(rng: random.Random, dim: int, n: int) -> list[Coords]:
     return pts
 
 
+def _slab(rng: random.Random, dim: int, n: int) -> list[Coords]:
+    """A flat slab: two points pin the last axis at +-100, the rest are low.
+
+    The other coordinates are k/8 in [-50, 50] and the low heights k/16
+    with |k| <= 2, so in 3D nearly every point is a site of the diagram
+    regime. Same seed, same points as the benchmark's slab family.
+    """
+    def planar():
+        return tuple(Fraction(rng.randint(-4 * _SPAN, 4 * _SPAN), 8)
+                     for _ in range(dim - 1))
+
+    pts = [planar() + (Fraction(_SPAN),), planar() + (Fraction(-_SPAN),)]
+    pts += [planar() + (Fraction(rng.randint(-2, 2), 16),)
+            for _ in range(n - 2)]
+    rng.shuffle(pts)
+    return pts[:n]
+
+
 def generate_points(n: int, dimension: int, distribution: str = "uniform",
                     seed: int = 0) -> PointSet:
     if n < 1:
@@ -95,6 +113,8 @@ def generate_points(n: int, dimension: int, distribution: str = "uniform",
         rows = _uniform(rng, dimension, n)
     elif distribution == "clustered":
         rows = _clustered(rng, dimension, n)
+    elif distribution == "slab":
+        rows = _slab(rng, dimension, n)
     else:
         raise UsageError(f"unknown distribution {distribution!r}")
     return PointSet(tuple(rows), dimension)

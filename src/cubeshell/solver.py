@@ -2,16 +2,17 @@
 
 Each solver normalizes and scales its input once, into an IntFrame, and
 works on its integers; values become rationals only in the result. The
-d = 3 solver maximizes the inner radius over the center domain two ways:
-a binary search over the plateau levels (driven by the coverage decision
-procedure) and a scan of nearest-site diagram candidates, keeping
+d = 3 solver maximizes the inner radius over the center domain two ways,
+both driven by the one coverage sweep (``uncovered_scaled``): a binary
+search over the plateau levels, and a sorted-matrix search over the
+radii at which the low sites' squares can close the last gap, keeping
 whichever is larger. d = 2 reduces to the maximum of a one-dimensional
 lower envelope over an interval; d = 1 is closed form.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import floor, lcm
 from operator import sub
@@ -21,7 +22,6 @@ from .geometry import IntFrame, PlanarPoint, PointSet, int_frame, scaled_frame
 from .rational import Scalar
 from .shell import Shell, lift
 from .squares import uncovered_scaled
-from .voronoi import Site, build_voronoi, vd_candidates_in_rect
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,9 @@ class SolveResult:
 
     inner_level is the normalized-frame inner radius (same value as
     shell.inner_radius); contacts index into the input point order.
+    candidate_count is the work of the last stage: in 3D the coverage
+    sweeps of the diagram-regime search, in 2D the envelope candidates
+    evaluated, in 1D the number of points.
     """
 
     shell: Shell
@@ -81,51 +84,80 @@ def solve_plateau_case(psn: PointSet | IntFrame):
 
 
 def solve_voronoi_case(psn: PointSet | IntFrame, level: Scalar | None = None):
-    """Best center among nearest-site diagram candidates in the domain.
+    """Largest r at which the low sites' open squares leave a center uncovered.
 
     psn is a normalized point set or its IntFrame. Returns ((value,
-    center) or None, number of candidates examined).
+    center) or None, number of coverage sweeps run).
 
     The decision search fixes the largest feasible height level; between
     that level and the next one up, only points at or below it can pull
     the inner radius down, and they do so through their projected
-    distance alone. So the diagram is built over exactly those low
-    points, and a candidate's value is its nearest projected distance
-    (which by construction is at least every relevant height, making the
-    lifted and projected distances agree at the maximizer). With no level
-    given, every point counts as low; the result is then still a valid
-    lower bound on the optimum.
+    distance alone. The value is therefore the largest r at which the
+    open squares of radius r around those low sites still leave a point
+    of the center box uncovered (the largest nearest-site distance over
+    the box), and the center is the sweep's witness there; the lifted
+    and projected distances agree at it whenever this regime wins. With
+    no level given, every point counts as low; the result is then still
+    a valid lower bound on the optimum.
+
+    Coverage changes only where two square sides, or a side and a box
+    side, meet, so the answer is half a difference within the sorted
+    site x's together with their reflections in X0 and X1, or within the
+    same list for y. These half differences form sorted matrices, which
+    a Frederickson-Johnson style selection searches without listing
+    them: each round tests the weighted median of the row medians of the
+    remaining entries with one sweep, which drops at least a quarter of
+    them, so O(log m) sweeps suffice for m sites.
     """
     fr = _frame_of(psn)
     # heights are frame integers, so |z| <= level exactly when |z| <= floor
     top = None if level is None else floor(level * fr.U)
-    merged: dict[tuple, list[int]] = {}
-    for i, p in enumerate(fr.pts):
-        if top is None or abs(p[-1]) <= top:
-            merged.setdefault((p[0], p[1]), []).append(i)
-    if not merged:
+    low = {(p[0], p[1]) for p in fr.pts if top is None or abs(p[-1]) <= top}
+    if not low:
         return None, 0
     # sites further from the domain than this bound are never nearest
-    # anywhere inside it, so dropping them changes no candidate
+    # anywhere inside it, so dropping them changes no distance there
     X0, X1, Y0, Y1 = fr.box
     cx, cy = (X0 + X1) // 2, (Y0 + Y1) // 2
-    d_mid = min(max(abs(x - cx), abs(y - cy)) for x, y in merged)
+    d_mid = min(max(abs(x - cx), abs(y - cy)) for x, y in low)
     cutoff = d_mid + max(X1 - X0, Y1 - Y0)
-    kept = sorted((x, y) for x, y in merged
-                  if max(X0 - x, x - X1, Y0 - y, y - Y1) <= cutoff)
-    sites = [Site((fr.value(x), fr.value(y)), tuple(merged[(x, y)]))
-             for x, y in kept]
+    sites = [(x, y) for x, y in low
+             if max(X0 - x, x - X1, Y0 - y, y - Y1) <= cutoff]
+    xs = [x for x, _ in sites]
+    ys = [y for _, y in sites]
 
-    dom = fr.domain()
-    vd = build_voronoi(sites, frame=dom.box)
-    cands = vd_candidates_in_rect(vd, dom)
-    best = None
-    for pt, near in cands:
-        rep = sites[min(near)].location
-        d = max(abs(pt[0] - rep[0]), abs(pt[1] - rep[1]))
-        if best is None or d > best[0]:
-            best = (d, pt)
-    return best, len(cands)
+    # Row i of a matrix holds L[j] - L[i] for j past i, twice a candidate;
+    # [a, b) is the part of the row strictly between 2*lo and 2*hi. Every
+    # value is even, so each candidate is an integer.
+    rows = []
+    for coords, c0, c1 in ((xs, X0, X1), (ys, Y0, Y1)):
+        L = sorted({v for c in coords for v in (c, 2 * c0 - c, 2 * c1 - c)})
+        rows += [[L, L[i], i + 1, len(L)] for i in range(len(L) - 1)]
+    lo, hit, sweeps = 0, None, 0
+    while rows:
+        meds = sorted((L[(a + b) // 2] - v, b - a) for L, v, a, b in rows)
+        total = sum(wt for _, wt in meds)
+        acc = 0
+        for diff, wt in meds:
+            acc += wt
+            if 2 * acc >= total:
+                break
+        r = diff // 2
+        got = uncovered_scaled(xs, ys, r, fr.box)
+        sweeps += 1
+        if got is not None:
+            lo, hit = r, got
+            for row in rows:
+                row[2] = bisect_right(row[0], row[1] + diff, row[2], row[3])
+        else:
+            for row in rows:
+                row[3] = bisect_left(row[0], row[1] + diff, row[2], row[3])
+        rows = [row for row in rows if row[2] < row[3]]
+    if hit is None:
+        # no positive radius is feasible; at 0 no square covers anything
+        hit = uncovered_scaled(xs, ys, 0, fr.box)
+        sweeps += 1
+    return (fr.value(lo), (fr.value(hit[0]), fr.value(hit[1]))), sweeps
 
 
 def _contacts(fr: IntFrame, center_planar: PlanarPoint, rstar: Scalar):

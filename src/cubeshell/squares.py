@@ -163,21 +163,34 @@ def _union_area(sq, w) -> int:
 
 
 def _component_count(sq, w) -> int:
-    parent = list(range(len(sq)))
+    """Connected components of the closed squares, on a grid of side 2w.
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    Centers that share a grid cell are less than 2w apart per axis, so
+    each cell is connected; two squares that meet lie in the same cell or
+    in neighbouring ones, so only neighbouring cells are compared.
+    """
+    side = 2 * w
+    cells: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for x, y in sq:
+        cells.setdefault((x // side, y // side), []).append((x, y))
+    parent = {c: c for c in cells}
 
-    for i in range(len(sq)):
-        for j in range(i + 1, len(sq)):
-            if abs(sq[i][0] - sq[j][0]) <= 2 * w and abs(sq[i][1] - sq[j][1]) <= 2 * w:
-                pi, pj = find(i), find(j)
-                if pi != pj:
-                    parent[pi] = pj
-    return sum(1 for i in range(len(sq)) if find(i) == i)
+    def find(c):
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    for (i, j), members in cells.items():
+        for nb in ((i + 1, j - 1), (i + 1, j), (i + 1, j + 1), (i, j + 1)):
+            others = cells.get(nb)
+            if others is None:
+                continue
+            a, b = find((i, j)), find(nb)
+            if a != b and any(abs(x - u) <= side and abs(y - v) <= side
+                              for x, y in members for u, v in others):
+                parent[a] = b
+    return sum(1 for c in cells if find(c) == c)
 
 
 def union_of_squares(squares) -> UnionBoundary:

@@ -220,3 +220,23 @@ def test_criterion_10_planar_solver():
     t_big = time.perf_counter() - t0
     assert t_big < 5
     print(f"criterion 10: 200 planar instances exact; n=1e5 in {t_big:.1f}s")
+
+
+def test_criterion_11_diagram_regime_scaling():
+    # two pins and n - 2 low points: the diagram regime decides the optimum
+    timings = {}
+    for low in (500, 2_000):
+        ps = generate_points(low + 2, 3, "slab", seed=SEED + low)
+        best = None
+        for _ in range(3):
+            t0 = time.perf_counter()
+            res = solve3d(ps)
+            dt = time.perf_counter() - t0
+            best = dt if best is None else min(best, dt)
+        assert res.case_tag in ("voronoi", "both")
+        timings[low] = best
+    ratio = timings[2_000] / timings[500]
+    assert timings[2_000] < 5
+    assert ratio < 8
+    print(f"criterion 11: slab with 2,000 low sites in {timings[2_000]:.2f}s; "
+          f"T(4n)/T(n) = {ratio:.2f} < 8")

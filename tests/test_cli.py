@@ -58,7 +58,7 @@ class TestParsePoints:
 
 class TestGenerate:
     def test_round_trip_lossless(self):
-        for dist in ("uniform", "clustered"):
+        for dist in ("uniform", "clustered", "slab"):
             for dim in (1, 2, 3):
                 ps = generate_points(17, dim, dist, seed=3)
                 again = parse_points(write_points(ps).splitlines())
@@ -75,9 +75,15 @@ class TestGenerate:
         assert a.points != b.points
 
     def test_coordinates_in_range(self):
-        for dist in ("uniform", "clustered"):
+        for dist in ("uniform", "clustered", "slab"):
             ps = generate_points(200, 3, dist, seed=1)
             assert all(abs(c) <= 100 for p in ps for c in p)
+
+    def test_slab_is_flat(self):
+        ps = generate_points(200, 3, "slab", seed=1)
+        heights = sorted(abs(p[-1]) for p in ps)
+        assert heights[-2:] == [100, 100] and heights[-3] <= F(1, 8)
+        assert all(abs(c) <= 50 for p in ps for c in p[:-1])
 
     def test_bad_distribution(self):
         with pytest.raises(UsageError):
@@ -188,6 +194,15 @@ class TestOtherCommands:
         assert code == 0
         ps = parse_points(out.splitlines())
         assert len(ps) == 30 and ps.dimension == 3
+
+    def test_gen_slab_solves_in_diagram_regime(self, capsys, monkeypatch):
+        for seed in (1, 2, 3):
+            _, out, _ = run_cli(capsys, ["gen", "--n", "60", "--dist", "slab",
+                                         "--seed", str(seed)])
+            code, sout, _ = run_cli(capsys, ["solve"], stdin_text=out,
+                                    monkeypatch=monkeypatch)
+            assert code == 0
+            assert json.loads(sout)["case"] in ("voronoi", "both")
 
     def test_gen_deterministic(self, capsys, monkeypatch):
         _, out1, _ = run_cli(capsys, ["gen", "--n", "20", "--seed", "11"])

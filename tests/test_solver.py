@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import log
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +15,7 @@ from cubeshell.oracle import (exact_oracle_2d, exact_oracle_3d,
 from cubeshell.shell import inner_radius_at, lift, shell_encloses
 from cubeshell.solver import (_contacts, solve, solve1d, solve2d, solve3d,
                               solve_plateau_case, solve_voronoi_case)
+from cubeshell.voronoi import build_voronoi, make_sites, vd_candidates_in_rect
 
 F = Fraction
 
@@ -66,6 +68,85 @@ class TestVoronoiCase:
                 assert got_phi >= got[0]
                 if lev is None or got[0] >= lev[0]:
                     assert got_phi == got[0]
+
+    def _check_against_oracles(self, ps):
+        """Regime value equals the oracle's; solve3d equals the exact oracle."""
+        psn, _ = normalize(ps)
+        lev = solve_plateau_case(psn)
+        got, sweeps = solve_voronoi_case(psn, lev[0])
+        assert got[0] == oracle_voronoi_level(psn)[0]
+        assert sweeps >= 1
+        assert inner_radius_at(psn, got[1]) >= got[0]
+        assert solve3d(ps).inner_level == exact_oracle_3d(psn)[0]
+        return psn
+
+    def test_slab_matches_oracles(self, rng):
+        tags = set()
+        for _ in range(20):
+            ps = _slab_points(rng, rng.randint(3, 16))
+            self._check_against_oracles(ps)
+            tags.add(solve3d(ps).case_tag)
+        assert "voronoi" in tags
+
+    def test_duplicate_sites(self, rng):
+        # coincident planar sites at different heights, and repeated points
+        for _ in range(20):
+            base = _slab_points(rng, rng.randint(3, 10))
+            rows = list(base) + [(p[0], p[1], F(rng.randint(-2, 2), 16))
+                                 for p in base.points[2:]]
+            rows += rows[2:4]
+            self._check_against_oracles(pts(*rows))
+
+    def test_ties_on_a_grid(self, rng):
+        for _ in range(30):
+            ps = pts(*[[F(rng.randint(-3, 3), rng.choice((1, 2)))
+                        for _ in range(3)] for _ in range(rng.randint(3, 16))])
+            self._check_against_oracles(ps)
+
+    def test_zero_width_box_axis(self, rng):
+        # x spans as far as z, so one axis of the center box is a segment
+        for _ in range(20):
+            rows = [(F(-10), F(rng.randint(-5, 5)), F(-10)),
+                    (F(10), F(rng.randint(-5, 5)), F(10))]
+            rows += [(F(rng.randint(-20, 20), 2), F(rng.randint(-10, 10), 2),
+                      F(rng.randint(-4, 4), 4))
+                     for _ in range(rng.randint(1, 12))]
+            psn = self._check_against_oracles(pts(*rows))
+            assert center_domain(psn).degeneracy_rank >= 1
+
+    def test_matches_diagram_scan(self, rng):
+        # the diagram method this search replaced, kept as the reference
+        for _ in range(20):
+            ps = _slab_points(rng, rng.randint(52, 102))
+            fr = int_frame(ps)
+            level, _ = solve_plateau_case(fr)
+            (value, center), sweeps = solve_voronoi_case(fr, level)
+            low = [(fr.value(p[0]), fr.value(p[1])) for p in fr.pts
+                   if fr.value(abs(p[2])) <= level]
+            assert value == _diagram_value(low, fr.domain())
+            assert min(linf_dist(center, s) for s in low) == value
+            # each sweep drops a quarter of the m(m - 1) candidates left
+            m = 3 * len(set(low))
+            assert sweeps <= log(m * (m - 1), 4 / 3) + 2
+
+
+def _slab_points(rng, n):
+    """Two points pin z at +-20; the rest have |z| <= 1/8, mixed denominators."""
+    def planar():
+        return [F(rng.randint(-8 * q, 8 * q), q)
+                for q in (rng.randint(1, 7) for _ in range(2))]
+
+    rows = [planar() + [F(20)], planar() + [F(-20)]]
+    rows += [planar() + [F(rng.randint(-2, 2), 16)] for _ in range(n - 2)]
+    return pts(*rows)
+
+
+def _diagram_value(low, dom):
+    """Best nearest-site distance over the diagram's candidates in the box."""
+    sites = make_sites(sorted(set(low)))
+    vd = build_voronoi(sites, frame=dom.box)
+    return max(min(linf_dist(pt, s.location) for s in sites)
+               for pt, _ in vd_candidates_in_rect(vd, dom))
 
 
 class TestSolve3d:

@@ -10,8 +10,8 @@ from cubeshell.geometry import Box, CenterDomain, center_domain, normalize
 from cubeshell.oracle import (exact_oracle_3d, union_area_brute,
                               union_vertices_brute)
 from cubeshell.shell import inner_radius_at
-from cubeshell.squares import (_NP_LIMIT, _NP_MIN_SIZE, Square, _prefilter,
-                               clip_ball, decide, uncovered_scaled,
+from cubeshell.squares import (_NP_LIMIT, _NP_MIN_SIZE, Square,
+                               _component_count, _prefilter, clip_ball, decide, uncovered_scaled,
                                uncovered_witness, union_of_squares)
 
 F = Fraction
@@ -89,6 +89,43 @@ class TestUnionOfSquares:
             degree[a] = degree.get(a, 0) + 1
             degree[b] = degree.get(b, 0) + 1
         assert all(v % 2 == 0 for v in degree.values())
+
+
+def _all_pairs_components(sq, w):
+    """Reference count: union every pair of closed squares that meet."""
+    parent = list(range(len(sq)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(len(sq)):
+        for j in range(i + 1, len(sq)):
+            if (abs(sq[i][0] - sq[j][0]) <= 2 * w
+                    and abs(sq[i][1] - sq[j][1]) <= 2 * w):
+                parent[find(i)] = find(j)
+    return sum(1 for i in range(len(sq)) if find(i) == i)
+
+
+class TestComponentCount:
+    def test_matches_all_pairs(self, rng):
+        # small integer grids make many squares touch at a side or corner
+        for _ in range(200):
+            w = rng.randint(1, 4)
+            span = rng.choice((4, 12, 40))
+            sq = sorted({(rng.randint(-span, span), rng.randint(-span, span))
+                         for _ in range(rng.randint(1, 40))})
+            assert _component_count(sq, w) == _all_pairs_components(sq, w)
+
+    def test_touching_corners_chain(self):
+        sq = [(4 * k, 4 * k) for k in range(-3, 4)]
+        assert _component_count(sq, 2) == 1
+        assert _component_count(sq, 1) == len(sq)
+
+    def test_union_counts_touching_squares(self):
+        ub = union_of_squares([_sq(0, 0, 1), _sq(2, 2, 1), _sq(F(9, 2), 2, 1)])
+        assert ub.component_count == 2
 
 
 class TestUncoveredWitness:
