@@ -18,7 +18,8 @@ from .errors import CubeshellError, EmptyInputError, UsageError
 from .geometry import PointSet, center_domain, normalize
 from .oracle import (exact_oracle_2d, exact_oracle_3d, oracle_plateau_level,
                      oracle_voronoi_level)
-from .pointio import generate_points, load_points, parse_points, write_points
+from .pointio import (DISTRIBUTIONS, generate_points, load_points,
+                      parse_points, write_points)
 from .rational import Scalar, format_decimal, format_ratio, parse_scalar
 from .shell import lift, lifted_dist, planar_dist
 from .solver import SolveResult, solve
@@ -27,7 +28,6 @@ from .svgfig import write_figure
 from .voronoi import build_voronoi, make_sites
 
 PROG = "cubeshell"
-DISTRIBUTIONS = ("uniform", "clustered", "slab")
 
 
 def _read_points(args) -> PointSet:
@@ -256,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("gen", help="write a random instance")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dim", type=int, default=3)
-    p.add_argument("--dist", choices=DISTRIBUTIONS, default="uniform")
+    p.add_argument("--dist", choices=sorted(DISTRIBUTIONS), default="uniform")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output file; default stdout")
     p.set_defaults(func=cmd_gen)
@@ -265,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", required=True,
                    help="comma separated instance sizes")
     p.add_argument("--dim", type=int, default=3)
-    p.add_argument("--dist", choices=DISTRIBUTIONS, default="uniform")
+    p.add_argument("--dist", choices=sorted(DISTRIBUTIONS), default="uniform")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)
 

@@ -102,19 +102,16 @@ def _slab(rng: random.Random, dim: int, n: int) -> list[Coords]:
     return pts[:n]
 
 
+DISTRIBUTIONS = {"uniform": _uniform, "clustered": _clustered, "slab": _slab}
+
+
 def generate_points(n: int, dimension: int, distribution: str = "uniform",
                     seed: int = 0) -> PointSet:
     if n < 1:
         raise UsageError("instance size must be at least 1")
     if dimension not in (1, 2, 3):
         raise UsageError("generated dimension must be 1, 2, or 3")
-    rng = random.Random(seed)
-    if distribution == "uniform":
-        rows = _uniform(rng, dimension, n)
-    elif distribution == "clustered":
-        rows = _clustered(rng, dimension, n)
-    elif distribution == "slab":
-        rows = _slab(rng, dimension, n)
-    else:
+    if distribution not in DISTRIBUTIONS:
         raise UsageError(f"unknown distribution {distribution!r}")
+    rows = DISTRIBUTIONS[distribution](random.Random(seed), dimension, n)
     return PointSet(tuple(rows), dimension)

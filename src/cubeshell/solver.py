@@ -163,7 +163,8 @@ def solve_voronoi_case(psn: PointSet | IntFrame, level: Scalar | None = None):
 def _contacts(fr: IntFrame, center_planar: PlanarPoint, rstar: Scalar):
     """Points on the outer and on the inner cube, found on integers.
 
-    A diagram candidate's denominator need not divide U; the frame is then
+    The solvers' centers are all frame integers (m = 1). A center whose
+    denominator does not divide U is still handled: the frame is then
     refined by the lcm m of what is left, which makes the center exact.
     """
     scaled = [v * fr.U for v in center_planar]
