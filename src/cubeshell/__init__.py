@@ -6,15 +6,13 @@ lengths (the shell width) is as small as possible. All arithmetic is
 over rationals, so results are exact.
 """
 
+from importlib import import_module
+
 from .errors import (CubeshellError, EmptyInputError, PreconditionError,
                      UnsupportedDimensionError, UsageError)
 from .geometry import (Box, CenterDomain, Normalization, PointSet,
                        center_domain, is_smallest_enclosing_cube, linf_dist,
                        normalize, point_set, smallest_enclosing_box)
-from .oracle import (CandidatePool, candidate_pool, exact_oracle_2d,
-                     exact_oracle_3d, grid_oracle, oracle_plateau_level,
-                     oracle_voronoi_level, union_area_brute,
-                     union_vertices_brute, vd_candidate_oracle)
 from .pointio import generate_points, load_points, parse_points, write_points
 from .rational import Scalar, format_decimal, format_ratio, parse_scalar
 from .shell import (Shell, best_shell_at, inner_radius_at, lift, lifted_dist,
@@ -23,8 +21,17 @@ from .solver import (SolveResult, solve, solve1d, solve2d, solve3d,
                      solve_plateau_case, solve_voronoi_case)
 from .squares import (Square, UnionBoundary, clip_ball, decide,
                       union_of_squares, uncovered_witness)
-from .voronoi import (Site, VoronoiDiagram, build_voronoi, locate, make_sites,
-                      vd_candidates_in_rect)
+
+# Off the solve path (the oracle needs numpy): name -> defining submodule,
+# imported on first access.
+_LAZY = {name: mod for mod, names in (
+    ("oracle", ("CandidatePool", "candidate_pool", "exact_oracle_2d",
+                "exact_oracle_3d", "grid_oracle", "oracle_plateau_level",
+                "oracle_voronoi_level", "union_area_brute",
+                "union_vertices_brute", "vd_candidate_oracle")),
+    ("voronoi", ("Site", "VoronoiDiagram", "build_voronoi", "locate",
+                 "make_sites", "vd_candidates_in_rect")),
+) for name in names}
 
 __version__ = "0.1.0"
 
@@ -45,3 +52,16 @@ __all__ = [
     "union_area_brute", "union_of_squares", "union_vertices_brute",
     "vd_candidate_oracle", "vd_candidates_in_rect", "write_points",
 ]
+
+
+def __getattr__(name):
+    mod = _LAZY.get(name)
+    if mod is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{mod}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

@@ -5,6 +5,9 @@ precision under its plain name, and exactly as "numerator/denominator"
 under the same name with an "_exact" suffix. Exit codes: 0 on success,
 1 when the answer is "infeasible" or the input/result is empty, 2 on
 usage errors.
+
+The oracle, diagram and figure modules are imported by the subcommands
+that use them, so ``solve`` loads neither them nor numpy.
 """
 
 from __future__ import annotations
@@ -16,16 +19,12 @@ import time
 
 from .errors import CubeshellError, EmptyInputError, UsageError
 from .geometry import PointSet, center_domain, normalize
-from .oracle import (exact_oracle_2d, exact_oracle_3d, oracle_plateau_level,
-                     oracle_voronoi_level)
 from .pointio import (DISTRIBUTIONS, generate_points, load_points,
                       parse_points, write_points)
 from .rational import Scalar, format_decimal, format_ratio, parse_scalar
 from .shell import lift, lifted_dist, planar_dist
 from .solver import SolveResult, solve
 from .squares import clip_ball, decide, union_of_squares
-from .svgfig import write_figure
-from .voronoi import build_voronoi, make_sites
 
 PROG = "cubeshell"
 
@@ -100,6 +99,7 @@ def cmd_decide(args) -> int:
 
 
 def _planar_sites(ps: PointSet):
+    from .voronoi import make_sites
     if ps.dimension == 2:
         pts = ps.points
     elif ps.dimension == 3:
@@ -111,6 +111,7 @@ def _planar_sites(ps: PointSet):
 
 
 def cmd_voronoi(args) -> int:
+    from .voronoi import build_voronoi
     vd = build_voronoi(_planar_sites(_read_points(args)))
     _emit(vd.as_dict())
     return 0
@@ -142,6 +143,8 @@ def cmd_union(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import (exact_oracle_2d, exact_oracle_3d,
+                         oracle_plateau_level, oracle_voronoi_level)
     ps = _read_points(args)
     psn, nrm = normalize(ps)
     dom = center_domain(psn)
@@ -193,6 +196,8 @@ def cmd_bench(args) -> int:
         raise UsageError(f"bad --sizes value {args.sizes!r}") from exc
     if not sizes:
         raise UsageError("--sizes needs at least one integer")
+    if min(sizes) < 1:
+        raise UsageError("instance size must be at least 1")
     print(f"{'n':>10}  {'dim':>3}  {'seconds':>9}  case")
     for n in sizes:
         ps = generate_points(n, args.dim, args.dist, args.seed)
@@ -204,6 +209,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from .svgfig import write_figure
     ps = _read_points(args)
     write_figure(ps, args.svg)
     return 0
@@ -255,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("gen", help="write a random instance")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--dim", type=int, default=3)
+    p.add_argument("--dim", type=int, choices=(1, 2, 3), default=3)
     p.add_argument("--dist", choices=sorted(DISTRIBUTIONS), default="uniform")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output file; default stdout")
@@ -264,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("bench", help="time the solver on generated inputs")
     p.add_argument("--sizes", required=True,
                    help="comma separated instance sizes")
-    p.add_argument("--dim", type=int, default=3)
+    p.add_argument("--dim", type=int, choices=(1, 2, 3), default=3)
     p.add_argument("--dist", choices=sorted(DISTRIBUTIONS), default="uniform")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)

@@ -15,8 +15,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import PreconditionError, UsageError
 from .geometry import (
     CenterDomain,
@@ -27,9 +25,6 @@ from .geometry import (
     smallest_enclosing_box,
 )
 from .rational import Scalar
-
-_NP_LIMIT = 2**60
-_NP_MIN_SIZE = 512
 
 
 @dataclass(frozen=True)
@@ -153,12 +148,32 @@ def _axis_runs(sq, w):
 
 
 def _union_area(sq, w) -> int:
-    events = sorted({v for cx, _ in sq for v in (cx - w, cx + w)})
-    total = 0
-    for x, nx in zip(events, events[1:]):
-        cover = _merged([(cy - w, cy + w) for cx, cy in sq
-                         if cx - w <= x and nx <= cx + w])
-        total += sum(hi - lo for lo, hi in cover) * (nx - x)
+    """Union area of the squares by one sweep in x.
+
+    The active y's sit sorted between two sentinels 2w beyond every
+    center. A slab's covered length is the sum of min(gap, 2w) over
+    adjacent y's, less 2w, so each entry or exit updates it locally.
+    """
+    side = 2 * w
+    moves: dict[int, list[tuple[int, int]]] = {}
+    for cx, cy in sq:
+        moves.setdefault(cx - w, []).append((cy, 1))
+        moves.setdefault(cx + w, []).append((cy, -1))
+    ys = [min(y for _, y in sq) - side, max(y for _, y in sq) + side]
+    covered = total = 0
+    prev = min(moves)
+    for x in sorted(moves):
+        total += covered * (x - prev)
+        prev = x
+        for y, sign in moves[x]:
+            i = bisect_left(ys, y)
+            if sign < 0:
+                ys.pop(i)
+            lo, hi = ys[i - 1], ys[i]
+            covered += sign * (min(y - lo, side) + min(hi - y, side)
+                               - min(hi - lo, side))
+            if sign > 0:
+                ys.insert(i, y)
     return total
 
 
@@ -297,19 +312,14 @@ def _prefilter(cxs, cys, w, box):
     Returns (xs, ys, covered_all). All coordinates are even integers.
     """
     X0, X1, Y0, Y1 = box
-    n = len(cxs)
-    if n >= _NP_MIN_SIZE and (n == 0 or max(max(map(abs, cxs)), max(map(abs, cys)), w) < _NP_LIMIT):
-        ax = np.asarray(cxs, dtype=np.int64)
-        ay = np.asarray(cys, dtype=np.int64)
-        keep = (ax + w > X0) & (ax - w < X1) & (ay + w > Y0) & (ay - w < Y1)
-        swallow = (ax - w < X0) & (ax + w > X1) & (ay - w < Y0) & (ay + w > Y1)
-        if bool(swallow.any()):
-            return [], [], True
-        return ax[keep].tolist(), ay[keep].tolist(), False
+    # a square meets the box when X0 - w < x < X1 + w (and so for y), and
+    # swallows it when X1 - w < x < X0 + w
+    mx0, mx1, my0, my1 = X0 - w, X1 + w, Y0 - w, Y1 + w
+    sx0, sx1, sy0, sy1 = X1 - w, X0 + w, Y1 - w, Y0 + w
     xs, ys = [], []
     for x, y in zip(cxs, cys):
-        if x + w > X0 and x - w < X1 and y + w > Y0 and y - w < Y1:
-            if x - w < X0 and x + w > X1 and y - w < Y0 and y + w > Y1:
+        if mx0 < x < mx1 and my0 < y < my1:
+            if sx0 < x < sx1 and sy0 < y < sy1:
                 return [], [], True
             xs.append(x)
             ys.append(y)

@@ -1,7 +1,10 @@
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -244,6 +247,13 @@ class TestOtherCommands:
         code, _, _ = run_cli(capsys, ["bench", "--sizes", "a,b"])
         assert code == 2
 
+    def test_bench_rejects_before_printing(self, capsys):
+        code, out, err = run_cli(capsys, ["bench", "--sizes", "5,0"])
+        assert code == 2 and out == "" and "at least 1" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--sizes", "5", "--dim", "4"])
+        assert exc.value.code == 2 and capsys.readouterr().out == ""
+
     def test_render_writes_svg(self, capsys, monkeypatch, tmp_path):
         out_path = tmp_path / "fig.svg"
         code, _, _ = run_cli(capsys, ["render", "--svg", str(out_path)],
@@ -255,6 +265,28 @@ class TestOtherCommands:
     def test_missing_file_exits_2(self, capsys, monkeypatch):
         code, _, err = run_cli(capsys, ["solve", "/nonexistent/points.txt"])
         assert code == 2 and "cannot read" in err
+
+
+class TestColdStart:
+    def test_solve_loads_only_the_solve_path(self, tmp_path):
+        # 1,200 points: the first coverage sweep sees about 600 squares
+        path = tmp_path / "points.txt"
+        path.write_text(write_points(generate_points(1200, 3, "uniform", 5)))
+        script = (
+            "import json, sys\n"
+            "import cubeshell.cli\n"
+            f"code = cubeshell.cli.main(['solve', {str(path)!r}])\n"
+            "heavy = ['numpy', 'cubeshell.oracle', 'cubeshell.voronoi',\n"
+            "         'cubeshell.svgfig']\n"
+            "print(json.dumps([code, [m for m in heavy if m in sys.modules]]),\n"
+            "      file=sys.stderr)\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["n"] == 1200
+        assert json.loads(proc.stderr.splitlines()[-1]) == [0, []]
 
 
 class TestFigure:

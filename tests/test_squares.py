@@ -10,8 +10,8 @@ from cubeshell.geometry import Box, CenterDomain, center_domain, normalize
 from cubeshell.oracle import (exact_oracle_3d, union_area_brute,
                               union_vertices_brute)
 from cubeshell.shell import inner_radius_at
-from cubeshell.squares import (_NP_LIMIT, _NP_MIN_SIZE, Square,
-                               _component_count, _prefilter, clip_ball, decide, uncovered_scaled,
+from cubeshell.squares import (Square, _component_count, _prefilter,
+                               clip_ball, decide, uncovered_scaled,
                                uncovered_witness, union_of_squares)
 
 F = Fraction
@@ -69,6 +69,12 @@ class TestUnionOfSquares:
             ub = union_of_squares(sqs)
             assert ub.area == union_area_brute(sqs)
             assert set(ub.vertices) == union_vertices_brute(sqs)
+
+    def test_area_of_a_few_hundred_squares(self, rng):
+        for w in (F(3), F(15, 2)):
+            sqs = [_sq(F(rng.randint(-120, 120), 2),
+                       F(rng.randint(-120, 120), 2), w) for _ in range(300)]
+            assert union_of_squares(sqs).area == union_area_brute(sqs)
 
     def test_vertex_count_linear(self, rng):
         for _ in range(10):
@@ -189,11 +195,21 @@ class TestDecide:
                 assert dom.box.contains(witness)
 
 
+class TestPrefilter:
+    def test_open_square_bounds_are_strict(self):
+        box = (-4, 4, -2, 2)
+        # sides on the box's sides leave those sides uncovered
+        assert _prefilter([0], [0], 4, box) == ([0], [0], False)
+        assert _prefilter([0], [0], 6, box) == ([], [], True)
+        # squares that only touch the box from outside are dropped
+        assert _prefilter([8, 0], [0, 6], 4, box) == ([], [], False)
+
+
 class TestInt64Limit:
-    """The numpy and the pure-int prefilter agree on the same squares."""
+    """The prefilter and the sweep are scale-invariant past int64."""
 
     def test_scaled_instance_agrees(self, rng):
-        n = _NP_MIN_SIZE + 100
+        n = 612
         xs = [2 * rng.randint(-500, 500) for _ in range(n)]
         ys = [2 * rng.randint(-500, 500) for _ in range(n)]
         box = (-400, 400, -300, 500)
@@ -209,8 +225,8 @@ class TestInt64Limit:
         bxs = [x * big for x in xs]
         bys = [y * big for y in ys]
         bbox = tuple(v * big for v in box)
-        assert max(map(abs, xs + ys + [hi])) < _NP_LIMIT
-        assert max(map(abs, bxs)) >= _NP_LIMIT
+        assert max(map(abs, xs + ys + [hi])) < 2**60
+        assert max(map(abs, bxs)) >= 2**60
         for w in (lo, hi):
             kx, ky, covered = _prefilter(xs, ys, w, box)
             assert kx and not covered
