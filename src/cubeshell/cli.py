@@ -20,7 +20,7 @@ import time
 from .errors import CubeshellError, EmptyInputError, UsageError
 from .geometry import PointSet, center_domain, normalize
 from .pointio import (DISTRIBUTIONS, generate_points, load_points,
-                      parse_points, write_points)
+                      parse_bytes, write_points)
 from .rational import Scalar, format_decimal, format_ratio, parse_scalar
 from .shell import lift, lifted_dist, planar_dist
 from .solver import SolveResult, solve
@@ -32,7 +32,8 @@ PROG = "cubeshell"
 def _read_points(args) -> PointSet:
     dim = getattr(args, "dim", None)
     if args.points == "-":
-        return parse_points(sys.stdin, dim)
+        # as sys.stdin does on POSIX, split lines at "\n" only
+        return parse_bytes(sys.stdin.buffer.read(), dim, newline="\n")
     return load_points(args.points, dim)
 
 
@@ -287,6 +288,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # before any input is read
+        if getattr(args, "precision", 0) < 0:
+            raise UsageError("precision must be >= 0")
         return args.func(args)
     except EmptyInputError as exc:
         print(f"{PROG}: {exc}", file=sys.stderr)

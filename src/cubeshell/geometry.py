@@ -7,11 +7,11 @@ primitives in this module work for any d >= 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from itertools import chain, product
 from math import lcm
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import PreconditionError, UsageError
 from .rational import Scalar
@@ -26,27 +26,89 @@ def as_point(values: Iterable) -> Coords:
     return tuple(Fraction(v) for v in values)
 
 
-@dataclass(frozen=True)
 class PointSet:
-    """An ordered, nonempty collection of points sharing one dimension."""
+    """An ordered, nonempty collection of points sharing one dimension.
 
-    points: tuple[Coords, ...]
-    dimension: int
+    A set made by ``from_ratios``, as the parser makes them, holds its
+    points as the integer frame's input instead: a scale U and one column
+    per axis of the coordinates times U. Its rows of Fractions are built
+    on the first access to ``points``, which a solve never makes. Either
+    way the set is immutable and compares and hashes by its points and
+    dimension.
+    """
 
-    def __post_init__(self):
-        if not self.points:
+    __match_args__ = ("points", "dimension")
+
+    def __init__(self, points: tuple[Coords, ...], dimension: int):
+        if not points:
             raise UsageError("point set must be nonempty")
-        for p in self.points:
-            if len(p) != self.dimension:
+        for p in points:
+            if len(p) != dimension:
                 raise UsageError(
-                    f"point {p} has dimension {len(p)}, expected {self.dimension}"
+                    f"point {p} has dimension {len(p)}, expected {dimension}"
                 )
+        object.__setattr__(self, "_points", points)
+        object.__setattr__(self, "_scaled", None)
+        object.__setattr__(self, "dimension", dimension)
+
+    @classmethod
+    def from_ratios(cls, nums: list[int], dens: list[int],
+                    dimension: int) -> PointSet:
+        """The points whose coordinates are nums[k] / dens[k], row by row.
+
+        The ratios need not be in lowest terms, but every den is positive.
+        U is twice the lcm of the distinct denominators, and each column
+        holds num * (U // den).
+        """
+        if (dimension < 1 or not nums or len(nums) != len(dens)
+                or len(nums) % dimension):
+            raise UsageError("point set must be nonempty rows of one dimension")
+        distinct = set(dens)
+        if min(distinct) < 1:
+            raise UsageError("denominators must be positive")
+        U = 2 * lcm(*distinct)
+        mult = {q: U // q for q in distinct}
+        cols = tuple(tuple([p * mult[q] for p, q in zip(nums[i::dimension],
+                                                        dens[i::dimension])])
+                     for i in range(dimension))
+        ps = cls.__new__(cls)
+        object.__setattr__(ps, "_points", None)
+        object.__setattr__(ps, "_scaled", (U, cols))
+        object.__setattr__(ps, "dimension", dimension)
+        return ps
+
+    @property
+    def points(self) -> tuple[Coords, ...]:
+        if self._points is None:
+            U, cols = self._scaled
+            rows = tuple(zip(*[[Fraction(v, U) for v in col] for col in cols]))
+            object.__setattr__(self, "_points", rows)
+        return self._points
 
     def __len__(self) -> int:
-        return len(self.points)
+        if self._points is None:
+            return len(self._scaled[1][0])
+        return len(self._points)
 
     def __iter__(self) -> Iterator[Coords]:
         return iter(self.points)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.points, self.dimension) == (other.points, other.dimension)
+
+    def __hash__(self) -> int:
+        return hash((self.points, self.dimension))
+
+    def __repr__(self) -> str:
+        return f"PointSet(points={self.points!r}, dimension={self.dimension!r})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def point_set(rows: Iterable[Iterable]) -> PointSet:
@@ -211,7 +273,9 @@ class IntFrame:
         return CenterDomain(self.value(self.half), Box(lo, hi), rank)
 
 
-def _scaled_columns(ps: PointSet, extra) -> tuple[int, list[list[int]]]:
+def _scaled_columns(ps: PointSet, extra) -> tuple[int, Sequence[Sequence[int]]]:
+    if ps._scaled is not None and not extra:
+        return ps._scaled
     U = even_scale(chain(chain.from_iterable(ps), extra))
     return U, [[c.numerator * (U // c.denominator) for c in col]
                for col in zip(*ps)]

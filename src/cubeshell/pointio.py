@@ -8,6 +8,7 @@ dimension is taken from the first data line unless the caller pins it.
 
 from __future__ import annotations
 
+import io
 import random
 from fractions import Fraction
 from typing import Iterable
@@ -17,13 +18,39 @@ from .geometry import Coords, PointSet
 from .rational import parse_scalar
 
 
+def parse_ratio(text: str) -> tuple[int, int]:
+    """Parse a token as ``parse_scalar`` does, as (numerator, denominator).
+
+    An integer or "a/b" token is read as two ints, not reduced: the
+    digits must meet at the "/", the denominator must be nonzero, and a
+    token with "_" is not read here. Every other token (decimals,
+    exponents, and whatever the two ints refuse) goes to
+    ``parse_scalar``, so the accepted tokens, their values and the error
+    texts are its own.
+    """
+    num, slash, den = text.partition("/")
+    if "_" not in text and (not slash
+                            or num[-1:].isdigit() and den[:1].isdigit()):
+        try:
+            q = int(den) if slash else 1
+            if q:
+                return int(num), q
+        except ValueError:
+            pass
+    value = parse_scalar(text)
+    return value.numerator, value.denominator
+
+
 def parse_points(lines: Iterable[str], dimension: int | None = None) -> PointSet:
     """Parse an iterable of text lines into a PointSet.
 
-    Raises UsageError naming the offending 1-based line for ragged rows
-    or bad literals, and EmptyInputError when no data line is present.
+    Each token is read by ``parse_ratio`` into the set's integer frame
+    input, so no Fraction is made per coordinate. Raises UsageError naming
+    the offending 1-based line for ragged rows or bad literals, and
+    EmptyInputError when no data line is present.
     """
-    rows: list[Coords] = []
+    nums: list[int] = []
+    dens: list[int] = []
     dim = dimension
     if dim is not None and dim < 1:
         raise UsageError("dimension must be a positive integer")
@@ -38,20 +65,47 @@ def parse_points(lines: Iterable[str], dimension: int | None = None) -> PointSet
             raise UsageError(
                 f"line {num}: expected {dim} fields, found {len(fields)}")
         try:
-            rows.append(tuple(parse_scalar(f) for f in fields))
+            for f in fields:
+                p, q = parse_ratio(f)
+                nums.append(p)
+                dens.append(q)
         except UsageError as exc:
             raise UsageError(f"line {num}: {exc}") from exc
-    if not rows:
+    if not nums:
         raise EmptyInputError("no points in input")
-    return PointSet(tuple(rows), dim)
+    return PointSet.from_ratios(nums, dens, dim)
+
+
+def parse_bytes(data: bytes, dimension: int | None = None,
+                newline: str | None = None) -> PointSet:
+    """Parse the bytes of a point file, which must be UTF-8 text.
+
+    ``newline`` ends lines as the argument of ``open`` does: None splits
+    at "\\n", "\\r" and "\\r\\n", as a file is read, and "\\n" only there,
+    as standard input is read. Bytes that are not UTF-8 raise UsageError
+    naming their 1-based line.
+    """
+    # checked whole before any line is parsed, then decoded again chunk by
+    # chunk, so the text is never held whole next to the parsed points
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = io.StringIO(data[:exc.start].decode("utf-8"), newline=newline)
+        line = head.read().count("\n") + 1
+        raise UsageError(f"line {line}: not UTF-8 text "
+                         f"(byte 0x{data[exc.start]:02x})") from exc
+    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                             newline=newline)
+    return parse_points(lines, dimension)
 
 
 def load_points(path: str, dimension: int | None = None) -> PointSet:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_points(fh, dimension)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror}") from exc
+    return parse_bytes(data, dimension)
 
 
 def write_points(ps: PointSet) -> str:

@@ -11,6 +11,7 @@ import pytest
 from conftest import pts
 from cubeshell.cli import main
 from cubeshell.errors import EmptyInputError, UsageError
+from cubeshell.geometry import PointSet
 from cubeshell.pointio import (generate_points, parse_points, write_points)
 from cubeshell.svgfig import figure
 
@@ -22,7 +23,9 @@ CORNERS = "".join(f"{sx} {sy} {sz}\n" for sx in (-1, 1) for sy in (-1, 1)
 
 def run_cli(capsys, args, stdin_text=None, monkeypatch=None):
     if stdin_text is not None:
-        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+        data = (stdin_text if isinstance(stdin_text, bytes)
+                else stdin_text.encode("utf-8"))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -135,6 +138,46 @@ class TestSolveCommand:
                                stdin_text="1 2 3 4\n5 6 7 8\n",
                                monkeypatch=monkeypatch)
         assert code == 2 and "dimension" in err
+
+    def test_non_utf8_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"1 2 3\n\xff\xfe 4 5\n")
+        code, out, err = run_cli(capsys, ["solve", str(path)])
+        assert code == 2 and out == ""
+        assert err == "cubeshell: line 2: not UTF-8 text (byte 0xff)\n"
+
+    def test_non_utf8_stdin_exits_2(self, capsys, monkeypatch):
+        code, out, err = run_cli(capsys, ["solve", "-"],
+                                 stdin_text=b"1 2 3\n\xff\xfe 4 5\n",
+                                 monkeypatch=monkeypatch)
+        assert code == 2 and out == ""
+        assert err == "cubeshell: line 2: not UTF-8 text (byte 0xff)\n"
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_solve_builds_no_fraction_rows(self, capsys, monkeypatch,
+                                           tmp_path, dim):
+        path = tmp_path / "p.txt"
+        path.write_text(write_points(generate_points(300, dim, "uniform", 6)))
+
+        def built(ps):
+            raise AssertionError("the parsed points were made Fractions")
+
+        monkeypatch.setattr(PointSet, "points", property(built))
+        code, out, _ = run_cli(capsys, ["solve", str(path)])
+        assert code == 0 and json.loads(out)["n"] == 300
+        code, out, _ = run_cli(capsys, ["solve"], stdin_text=path.read_text(),
+                               monkeypatch=monkeypatch)
+        assert code == 0 and json.loads(out)["n"] == 300
+
+    @pytest.mark.parametrize("command", [["solve"], ["decide", "--level", "1"],
+                                         ["union", "--level", "1"],
+                                         ["oracle"]])
+    def test_negative_precision_before_input(self, capsys, command):
+        # the input would fail too; the precision is checked first
+        code, out, err = run_cli(capsys, [*command, "--precision", "-1",
+                                          "/nonexistent/points.txt"])
+        assert code == 2 and out == ""
+        assert err == "cubeshell: precision must be >= 0\n"
 
     def test_byte_identical_reruns(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "p.txt"
