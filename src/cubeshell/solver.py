@@ -6,16 +6,18 @@ d = 3 solver maximizes the inner radius over the center domain two ways,
 both driven by the one coverage sweep (``uncovered_scaled``): a binary
 search over the plateau levels, and a sorted-matrix search over the
 radii at which the low sites' squares can close the last gap, keeping
-whichever is larger. d = 2 reduces to the maximum of a one-dimensional
-lower envelope over an interval; d = 1 is closed form.
+whichever is larger. d = 2 runs the same two regimes on an interval: the
+binary search with a scan for the leftmost gap between open intervals,
+then the farthest point from the low sites; d = 1 is closed form.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import islice
 from math import floor, lcm
-from operator import sub
+from operator import itemgetter, sub
 
 from .errors import UnsupportedDimensionError, UsageError
 from .geometry import IntFrame, PlanarPoint, PointSet, int_frame, scaled_frame
@@ -31,8 +33,8 @@ class SolveResult:
     inner_level is the normalized-frame inner radius (same value as
     shell.inner_radius); contacts index into the input point order.
     candidate_count is the work of the last stage: in 3D the coverage
-    sweeps of the diagram-regime search, in 2D the envelope candidates
-    evaluated, in 1D the number of points.
+    sweeps of the diagram-regime search, in 2D the low-site candidates
+    scanned, in 1D the number of points.
     """
 
     shell: Shell
@@ -53,6 +55,21 @@ def _frame_of(psn: PointSet | IntFrame) -> IntFrame:
     return psn if isinstance(psn, IntFrame) else scaled_frame(psn)
 
 
+def _last_feasible(levels, test):
+    """(level, point) for the largest sorted level at which the monotone
+    test finds a point; None if it finds none at any level."""
+    lo, hi = 0, len(levels) - 1
+    best = None
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        hit = test(levels[mid])
+        if hit is not None:
+            best, lo = (levels[mid], hit), mid + 1
+        else:
+            hi = mid - 1
+    return best
+
+
 def solve_plateau_case(psn: PointSet | IntFrame):
     """Largest height level at which the decision procedure still says yes.
 
@@ -68,19 +85,13 @@ def solve_plateau_case(psn: PointSet | IntFrame):
     heights = [abs(p[-1]) for p in pts]
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
-    levels = sorted(set(heights))
-    lo, hi = 0, len(levels) - 1
-    best = None
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        k = bisect_left(heights, levels[mid])
-        hit = uncovered_scaled(xs[:k], ys[:k], levels[mid], fr.box)
-        if hit is not None:
-            best = (fr.value(levels[mid]), (fr.value(hit[0]), fr.value(hit[1])))
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return best
+
+    def test(h):
+        k = bisect_left(heights, h)
+        return uncovered_scaled(xs[:k], ys[:k], h, fr.box)
+
+    level, hit = _last_feasible(sorted(set(heights)), test)
+    return fr.value(level), (fr.value(hit[0]), fr.value(hit[1]))
 
 
 def solve_voronoi_case(psn: PointSet | IntFrame, level: Scalar | None = None):
@@ -219,23 +230,14 @@ def solve3d(ps: PointSet) -> SolveResult:
     return _finish(fr, c, rstar, tag, count, _contacts(fr, c, rstar), r1, r2)
 
 
-# ---------------------------------------------------------------------------
-# d = 2: maximum of the lower envelope of cone functions over an interval.
-
-
-def _switch_point(xi, wi, xj, wj):
-    """First position where the later cone drops to or below the earlier.
-
-    Both functions are max(|c - x|, w); with xi < xj there is exactly one
-    crossing, and it happens where an arm meets an arm or a plateau.
-    """
-    for t in sorted({(xi + xj) // 2, xj - wi, xi + wj}):
-        if max(abs(t - xj), wj) <= max(abs(t - xi), wi):
-            return t
-    raise AssertionError("cone functions failed to cross")
-
-
 def solve2d(ps: PointSet) -> SolveResult:
+    """The 3D regimes on the center interval [lo_c, hi_c].
+
+    At radius r a point of height w < r bars the centers (x - r, x + r).
+    Up to the next height past r1, only the low points bar any, so r* is
+    the larger of r1 and their farthest point; each is the leftmost
+    center of its value.
+    """
     if ps.dimension != 2:
         raise UsageError("solve2d expects dimension 2")
     fr = int_frame(ps)
@@ -243,44 +245,38 @@ def solve2d(ps: PointSet) -> SolveResult:
         return _corner_shell(fr)
 
     lo_c, hi_c = fr.box
+    # the lowest point above an x bars whatever the others there bar
     narrow: dict[int, int] = {}
     for x, z in fr.pts:
         w = abs(z)
         if x not in narrow or w < narrow[x]:
             narrow[x] = w
-
     funcs = sorted(narrow.items())
 
-    # lower envelope: active regions appear in x order, one per cone
-    stack: list[tuple[int, int, int | None]] = []
-    for x, w in funcs:
-        start = None
-        while stack:
-            t = _switch_point(stack[-1][0], stack[-1][1], x, w)
-            if stack[-1][2] is not None and t <= stack[-1][2]:
-                stack.pop()
-            else:
-                start = t
-                break
-        stack.append((x, w, start))
+    def gap(r):
+        # the leftmost center no open interval covers; those that end at
+        # or before lo_c cover none
+        c = lo_c
+        start = bisect_right(funcs, lo_c - r, key=itemgetter(0))
+        for x, w in islice(funcs, start, None):
+            if w < r and x + r > c:
+                if x - r >= c:
+                    break
+                c = x + r
+                if c > hi_c:
+                    return None
+        return c
 
-    best_v = None
-    best_c = None
-    count = 0
-    for k, (x, w, start) in enumerate(stack):
-        seg_lo = lo_c if start is None else max(lo_c, start)
-        seg_hi = hi_c if k + 1 == len(stack) else min(hi_c, stack[k + 1][2])
-        if seg_lo > seg_hi:
-            continue
-        cands = {seg_lo, seg_hi}
-        for kink in (x - w, x + w):
-            if seg_lo <= kink <= seg_hi:
-                cands.add(kink)
-        for c in cands:
-            v = max(abs(c - x), w)
-            count += 1
-            if best_v is None or v > best_v or (v == best_v and c < best_c):
-                best_v, best_c = v, c
+    r1, c1 = _last_feasible(sorted(set(narrow.values())), gap)
+    # the low sites' farthest point is an end or a gap midpoint inside
+    low = [x for x, w in funcs if w <= r1]
+    cands = [(min(abs(x - lo_c) for x in low), lo_c)]
+    cands += [((b - a) // 2, (a + b) // 2) for a, b in zip(low, low[1:])
+              if lo_c < (a + b) // 2 < hi_c]
+    cands.append((min(abs(x - hi_c) for x in low), hi_c))
+    # max keeps the first of equal values, so the leftmost center
+    r2, c2 = max(cands, key=lambda vc: vc[0])
+    best_v, best_c = (r1, c1) if r1 >= r2 else (r2, c2)
 
     rstar = fr.value(best_v)
     c_star = (fr.value(best_c),)
@@ -291,7 +287,7 @@ def solve2d(ps: PointSet) -> SolveResult:
     voronoi_hit = any(abs(fr.pts[i][0] - best_c) == best_v for i in inner)
     tag = "both" if plateau_hit and voronoi_hit else (
         "plateau" if plateau_hit else "voronoi")
-    return _finish(fr, c_star, rstar, tag, count, (outer, inner))
+    return _finish(fr, c_star, rstar, tag, len(cands), (outer, inner))
 
 
 def solve1d(ps: PointSet) -> SolveResult:

@@ -22,7 +22,6 @@ from .geometry import (
     PointSet,
     even_scale,
     scaled_frame,
-    smallest_enclosing_box,
 )
 from .rational import Scalar
 
@@ -359,13 +358,6 @@ def uncovered_scaled(cxs, cys, w, box):
     return None
 
 
-def _check_normalized(ps: PointSet):
-    box = smallest_enclosing_box(ps)
-    sides = box.sides
-    if sides[-1] != max(sides) or box.lo[-1] + box.hi[-1] != 0:
-        raise PreconditionError("point set is not normalized")
-
-
 def decide(ps: PointSet, r: Scalar) -> tuple[bool, PlanarPoint | None]:
     """Whether some center in the domain keeps every point at distance >= r.
 
@@ -376,9 +368,12 @@ def decide(ps: PointSet, r: Scalar) -> tuple[bool, PlanarPoint | None]:
         raise UsageError("decision radius must be nonnegative")
     if ps.dimension != 3:
         raise UsageError("decide expects dimension 3")
-    _check_normalized(ps)
     r = Fraction(r)
     fr = scaled_frame(ps, r)
+    # normalized: the heights span the longest side, centered at 0
+    zs = [p[-1] for p in fr.pts]
+    if min(zs) != -fr.half or max(zs) != fr.half:
+        raise PreconditionError("point set is not normalized")
     w = r.numerator * (fr.U // r.denominator)
     cxs, cys = [], []
     for x, y, z in fr.pts:

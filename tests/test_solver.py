@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import log
 
@@ -7,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from conftest import CUBE8, pts, rand_points
 from cubeshell.errors import UnsupportedDimensionError
-from cubeshell.geometry import (center_domain, int_frame,
+from cubeshell.geometry import (PointSet, center_domain, int_frame,
                                 is_smallest_enclosing_cube, linf_dist,
                                 normalize, smallest_enclosing_box)
 from cubeshell.oracle import (exact_oracle_2d, exact_oracle_3d,
@@ -298,6 +299,114 @@ class TestSolve2d:
             assert shell_encloses(res.shell, ps)
             assert is_smallest_enclosing_cube(ps, res.shell.center,
                                               res.shell.outer_radius)
+
+    def test_matches_cone_envelope(self, rng):
+        # the lower-envelope method the gap scan replaced, kept as the
+        # reference for the center, radii, tag and contacts
+        for k in range(320):
+            ps = _planar_points(rng, rng.randint(3, 40), k % 4)
+            res = solve2d(ps)
+            sh = res.shell
+            got = (sh.center, sh.outer_radius, sh.inner_radius,
+                   res.inner_level, res.case_tag, res.outer_contacts,
+                   res.inner_contacts)
+            assert got == _envelope_2d(ps)
+
+    def test_scaling_distinct_x(self):
+        # all x's distinct, so no two points share a per-x cone
+        timings = {}
+        for n in (25_000, 100_000):
+            ps = _distinct_x_points(random.Random(n), n)
+            best = None
+            for _ in range(3):
+                t0 = time.perf_counter()
+                solve2d(ps)
+                dt = time.perf_counter() - t0
+                best = dt if best is None else min(best, dt)
+            timings[n] = best
+        assert timings[100_000] < 5
+        assert timings[100_000] / timings[25_000] < 8
+
+
+def _planar_points(rng, n, family):
+    """Mixed denominators, grid ties, repeated rows, or a point interval."""
+    if family == 0:
+        rows = [[F(rng.randint(-12 * q, 12 * q), q)
+                 for q in (rng.randint(1, 12) for _ in range(2))]
+                for _ in range(n)]
+    elif family == 1:
+        rows = [[F(rng.randint(-4, 4), rng.choice((1, 2))) for _ in range(2)]
+                for _ in range(n)]
+    elif family == 2:
+        # shared x's and a handful of equal heights, then repeated rows
+        rows = [[F(rng.randint(-20, 20), rng.randint(1, 12)),
+                 F(rng.choice((-3, -1, 0, 1, 3)), rng.choice((1, 2)))]
+                for _ in range(n)]
+        rows += rows[:rng.randint(0, n)]
+    else:
+        # x spans as far as z, so the center interval is a single point
+        rows = [[F(-10), F(-10)], [F(10), F(10)]]
+        rows += [[F(rng.randint(-10 * q, 10 * q), q),
+                  F(rng.randint(-10, 10), rng.randint(1, 3))]
+                 for q in (rng.randint(1, 12) for _ in range(n))]
+    return pts(*rows)
+
+
+def _distinct_x_points(rng, n):
+    xs = rng.sample(range(-10**9, 10**9), n)
+    nums = [v for x in xs for v in (x, rng.randint(-10**9, 10**9))]
+    return PointSet.from_ratios(nums, [1] * (2 * n), 2)
+
+
+def _switch_point(xi, wi, xj, wj):
+    """First position where the later cone drops to or below the earlier."""
+    for t in sorted({(xi + xj) // 2, xj - wi, xi + wj}):
+        if max(abs(t - xj), wj) <= max(abs(t - xi), wi):
+            return t
+    raise AssertionError("cone functions failed to cross")
+
+
+def _envelope_2d(ps):
+    """Maximum of the lower envelope of max(|c - x|, |z|) over the interval.
+
+    Returns what solve2d reports: center, outer and inner radius, inner
+    level, case tag and both contact tuples. Candidate ties go to the
+    leftmost center.
+    """
+    fr = int_frame(ps)
+    lo_c, hi_c = fr.box
+    narrow = {}
+    for x, z in fr.pts:
+        narrow[x] = min(abs(z), narrow.get(x, abs(z)))
+    stack = []
+    for x, w in sorted(narrow.items()):
+        start = None
+        while stack:
+            t = _switch_point(stack[-1][0], stack[-1][1], x, w)
+            if stack[-1][2] is not None and t <= stack[-1][2]:
+                stack.pop()
+            else:
+                start = t
+                break
+        stack.append((x, w, start))
+    best_v = best_c = None
+    for k, (x, w, start) in enumerate(stack):
+        seg_lo = lo_c if start is None else max(lo_c, start)
+        seg_hi = hi_c if k + 1 == len(stack) else min(hi_c, stack[k + 1][2])
+        cands = {seg_lo, seg_hi} | {t for t in (x - w, x + w)
+                                    if seg_lo <= t <= seg_hi}
+        for c in sorted(cands) if seg_lo <= seg_hi else ():
+            v = max(abs(c - x), w)
+            if best_v is None or v > best_v or (v == best_v and c < best_c):
+                best_v, best_c = v, c
+    rstar, center = fr.value(best_v), (fr.value(best_c),)
+    outer, inner = _contacts(fr, center, rstar)
+    heights = any(abs(fr.pts[i][1]) == best_v for i in inner)
+    planar = any(abs(fr.pts[i][0] - best_c) == best_v for i in inner)
+    tag = ("both" if heights and planar else
+           "plateau" if heights else "voronoi")
+    shell_center = fr.nrm.invert(lift(center))
+    return (shell_center, fr.value(fr.half), rstar, rstar, tag, outer, inner)
 
 
 class TestSolve1d:

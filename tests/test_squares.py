@@ -166,6 +166,10 @@ class TestDecide:
         for ps in (pts((0, 0, 0), (4, 1, 2)), pts((0, 0, 0), (1, 2, 4))):
             with pytest.raises(PreconditionError):
                 decide(ps, F(1))
+        # off center by 1/10^9
+        shifted = pts(*[(x, y, z + F(1, 10**9)) for x, y, z in CUBE8])
+        with pytest.raises(PreconditionError):
+            decide(shifted, F(1))
 
     def test_threshold_against_oracle(self, rng):
         eps = F(1, 10**9)
