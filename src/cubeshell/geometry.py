@@ -71,10 +71,15 @@ class PointSet:
         cols = tuple(tuple([p * mult[q] for p, q in zip(nums[i::dimension],
                                                         dens[i::dimension])])
                      for i in range(dimension))
+        return cls._scaled_by(U, cols)
+
+    @classmethod
+    def _scaled_by(cls, U: int, cols) -> PointSet:
+        """The points whose coordinates are the columns' integers over U."""
         ps = cls.__new__(cls)
         object.__setattr__(ps, "_points", None)
         object.__setattr__(ps, "_scaled", (U, cols))
-        object.__setattr__(ps, "dimension", dimension)
+        object.__setattr__(ps, "dimension", len(cols))
         return ps
 
     @property
@@ -205,10 +210,22 @@ def normalize(ps: PointSet) -> tuple[PointSet, Normalization]:
 
     Ties among longest sides go to the smallest axis index. The returned
     transform maps original points to normalized ones; ``invert`` undoes it.
+    The normalized set holds its frame: a scale U, twice the lcm of the
+    input denominators (doubled once more when the longest axis has an odd
+    midpoint, which centering would otherwise leave in odd coordinates),
+    and its columns times U. Its rows of Fractions are built only if read.
     """
-    fr = int_frame(ps)
-    psn = tuple(tuple(fr.value(v) for v in p) for p in fr.pts)
-    return PointSet(psn, ps.dimension), fr.nrm
+    U, cols = _scaled_columns(ps)
+    sides = [max(col) - min(col) for col in cols]
+    longest = sides.index(max(sides))
+    mid = (min(cols[longest]) + max(cols[longest])) // 2
+    if mid % 2:
+        U, mid = 2 * U, 2 * mid
+        cols = [[2 * v for v in col] for col in cols]
+    order = tuple(i for i in range(ps.dimension) if i != longest) + (longest,)
+    cols = [cols[a] for a in order[:-1]] + [[v - mid for v in cols[longest]]]
+    translation = (Fraction(0),) * (ps.dimension - 1) + (Fraction(-mid, U),)
+    return PointSet._scaled_by(U, cols), Normalization(order, translation)
 
 
 @dataclass(frozen=True)
@@ -273,10 +290,10 @@ class IntFrame:
         return CenterDomain(self.value(self.half), Box(lo, hi), rank)
 
 
-def _scaled_columns(ps: PointSet, extra) -> tuple[int, Sequence[Sequence[int]]]:
-    if ps._scaled is not None and not extra:
+def _scaled_columns(ps: PointSet) -> tuple[int, Sequence[Sequence[int]]]:
+    if ps._scaled is not None:
         return ps._scaled
-    U = even_scale(chain(chain.from_iterable(ps), extra))
+    U = even_scale(chain.from_iterable(ps))
     return U, [[c.numerator * (U // c.denominator) for c in col]
                for col in zip(*ps)]
 
@@ -291,34 +308,21 @@ def _frame(U, cols, nrm) -> IntFrame:
 
 
 def int_frame(ps: PointSet) -> IntFrame:
-    """Normalize ps as ``normalize`` does and scale it to integers, in one pass.
-
-    U is twice the lcm of the input denominators, doubled once more when
-    the longest axis has an odd midpoint, which centering would otherwise
-    leave in odd coordinates.
-    """
-    U, cols = _scaled_columns(ps, ())
-    sides = [max(col) - min(col) for col in cols]
-    longest = sides.index(max(sides))
-    mid = (min(cols[longest]) + max(cols[longest])) // 2
-    if mid % 2:
-        U, mid = 2 * U, 2 * mid
-        cols = [[2 * v for v in col] for col in cols]
-    order = tuple(i for i in range(ps.dimension) if i != longest) + (longest,)
-    cols = [cols[a] for a in order[:-1]] + [[v - mid for v in cols[longest]]]
-    translation = (Fraction(0),) * (ps.dimension - 1) + (Fraction(-mid, U),)
-    return _frame(U, cols, Normalization(order, translation))
+    """The frame of ps normalized: ``normalize``'s U and columns, and its map."""
+    psn, nrm = normalize(ps)
+    return _frame(*psn._scaled, nrm)
 
 
-def scaled_frame(psn: PointSet, *extra: Scalar) -> IntFrame:
+def scaled_frame(psn: PointSet) -> IntFrame:
     """The frame of a point set taken as already normalized.
 
-    The denominators of ``extra`` join U, so those values are frame
-    integers too.
+    A set that ``normalize`` or the parser made holds its U and columns,
+    and the frame reuses them; a set of Fraction rows is scaled by twice
+    the lcm of its denominators.
     """
-    U, cols = _scaled_columns(psn, extra)
     d = psn.dimension
-    return _frame(U, cols, Normalization(tuple(range(d)), (Fraction(0),) * d))
+    return _frame(*_scaled_columns(psn),
+                  Normalization(tuple(range(d)), (Fraction(0),) * d))
 
 
 def is_smallest_enclosing_cube(ps: PointSet, center: Coords, radius: Scalar) -> bool:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import islice
-from math import floor, lcm
+from math import floor
 from operator import itemgetter, sub
 
 from .errors import UnsupportedDimensionError, UsageError
@@ -174,19 +174,14 @@ def solve_voronoi_case(psn: PointSet | IntFrame, level: Scalar | None = None):
 def _contacts(fr: IntFrame, center_planar: PlanarPoint, rstar: Scalar):
     """Points on the outer and on the inner cube, found on integers.
 
-    The solvers' centers are all frame integers (m = 1). A center whose
-    denominator does not divide U is still handled: the frame is then
-    refined by the lcm m of what is left, which makes the center exact.
+    The solvers' centers and r* are frame integers: every center is a
+    box corner, a sweep witness or a gap midpoint, and r* is the distance
+    from the center to some point.
     """
-    scaled = [v * fr.U for v in center_planar]
-    m = lcm(*(v.denominator for v in scaled))
-    center = [v.numerator * (m // v.denominator) for v in scaled] + [0]
-    outer_r = fr.half * m
-    # an integer: rstar is the distance from the center to some point
-    inner_r = int(rstar * fr.U * m)
-    pts = fr.pts if m == 1 else ([v * m for v in p] for p in fr.pts)
+    center = [int(v * fr.U) for v in center_planar] + [0]
+    outer_r, inner_r = fr.half, int(rstar * fr.U)
     outer, inner = [], []
-    for i, p in enumerate(pts):
+    for i, p in enumerate(fr.pts):
         d = max(map(abs, map(sub, p, center)))
         if d == outer_r:
             outer.append(i)

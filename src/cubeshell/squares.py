@@ -4,7 +4,7 @@ Slicing every forbidden ball at a trial inner radius by the center plane
 yields a set of equal open squares; a center admits that radius exactly
 when it avoids all of their interiors. This module builds the boundary of
 such a square union and answers the coverage decision with an exact
-witness, via a left-to-right sweep over elementary strips.
+witness, via a left-to-right sweep over the squares' vertical sides.
 
 All sweep arithmetic runs on scaled integers; public results are rationals.
 """
@@ -98,7 +98,12 @@ def _covers(merged, a, b):
 
 
 def _axis_runs(sq, w):
-    """Vertical boundary runs and their vertices for deduped int squares."""
+    """Vertical boundary runs and their vertices for deduped int squares.
+
+    Also returns the union's area as the boundary integral of x dy: a
+    piece covered on its left only is an upward stretch of the boundary,
+    one covered on its right only a downward one, holes included.
+    """
     enters: dict[int, list[int]] = {}
     exits: dict[int, list[int]] = {}
     for cx, cy in sq:
@@ -108,6 +113,7 @@ def _axis_runs(sq, w):
     active: list[int] = []
     runs = []
     vertices = set()
+    area = 0
     for x in events:
         left = [(cy - w, cy + w) for cy in active]
         for cy in exits.get(x, ()):
@@ -125,6 +131,7 @@ def _axis_runs(sq, w):
             cl = _covers(ml, a, b)
             cr = _covers(mr, a, b)
             if cl != cr:
+                area += (x if cl else -x) * (b - a)
                 if run_start is None:
                     run_start = a
                 elif prev_side != cl:
@@ -143,37 +150,7 @@ def _axis_runs(sq, w):
             runs.append((x, run_start, ys[-1]))
             vertices.add((x, run_start))
             vertices.add((x, ys[-1]))
-    return runs, vertices
-
-
-def _union_area(sq, w) -> int:
-    """Union area of the squares by one sweep in x.
-
-    The active y's sit sorted between two sentinels 2w beyond every
-    center. A slab's covered length is the sum of min(gap, 2w) over
-    adjacent y's, less 2w, so each entry or exit updates it locally.
-    """
-    side = 2 * w
-    moves: dict[int, list[tuple[int, int]]] = {}
-    for cx, cy in sq:
-        moves.setdefault(cx - w, []).append((cy, 1))
-        moves.setdefault(cx + w, []).append((cy, -1))
-    ys = [min(y for _, y in sq) - side, max(y for _, y in sq) + side]
-    covered = total = 0
-    prev = min(moves)
-    for x in sorted(moves):
-        total += covered * (x - prev)
-        prev = x
-        for y, sign in moves[x]:
-            i = bisect_left(ys, y)
-            if sign < 0:
-                ys.pop(i)
-            lo, hi = ys[i - 1], ys[i]
-            covered += sign * (min(y - lo, side) + min(hi - y, side)
-                               - min(hi - lo, side))
-            if sign > 0:
-                ys.insert(i, y)
-    return total
+    return runs, vertices, area
 
 
 def _component_count(sq, w) -> int:
@@ -220,8 +197,8 @@ def union_of_squares(squares) -> UnionBoundary:
     sq = [(int(x * U), int(y * U)) for x, y in centers]
     w = int(Fraction(radius) * U)
 
-    v_runs, v_pts = _axis_runs(sq, w)
-    h_runs, h_pts = _axis_runs([(cy, cx) for cx, cy in sq], w)
+    v_runs, v_pts, area = _axis_runs(sq, w)
+    h_runs, h_pts, _ = _axis_runs([(cy, cx) for cx, cy in sq], w)
 
     def pt(x, y):
         return (Fraction(x, U), Fraction(y, U))
@@ -229,12 +206,11 @@ def union_of_squares(squares) -> UnionBoundary:
     vertices = {pt(x, y) for x, y in v_pts} | {pt(y, x) for x, y in h_pts}
     edges = [(pt(x, y0), pt(x, y1)) for x, y0, y1 in v_runs]
     edges += [(pt(x0, y), pt(x1, y)) for y, x0, x1 in h_runs]
-    area = Fraction(_union_area(sq, w), U * U)
     return UnionBoundary(
         tuple(sorted(vertices)),
         tuple(sorted(edges)),
         _component_count(sq, w),
-        area,
+        Fraction(area, U * U),
     )
 
 
@@ -245,64 +221,46 @@ def union_of_squares(squares) -> UnionBoundary:
 class _Column:
     """Active square centers for one sweep strip, as a sorted y list.
 
-    Tracks how many adjacent gaps leave an uncovered band that meets
-    [Y0, Y1], so the per-strip coverage query is O(1).
+    Two sentinel centers, at Y0 - w and at Y1 + w, stand in for the box's
+    bottom and top. Every real center lies strictly between them, as the
+    prefilter leaves it, so a point of [Y0, Y1] is uncovered exactly when
+    it lies in a gap of at least 2w between adjacent ys. ``bad`` counts
+    those gaps, which makes the per-strip coverage query O(1).
     """
 
-    __slots__ = ("ys", "w", "y0", "y1", "bad")
+    __slots__ = ("ys", "w", "bad")
 
     def __init__(self, w, y0, y1):
-        self.ys = []
+        self.ys = [y0 - w, y1 + w]
         self.w = w
-        self.y0 = y0
-        self.y1 = y1
-        self.bad = 0
-
-    def _is_bad(self, a, b) -> bool:
-        return b - a >= 2 * self.w and a + self.w <= self.y1 and b - self.w >= self.y0
+        self.bad = 1  # the empty column's one gap is the whole box
 
     def add(self, y):
-        i = bisect_left(self.ys, y)
-        lo = self.ys[i - 1] if i > 0 else None
-        hi = self.ys[i] if i < len(self.ys) else None
-        if lo is not None and hi is not None and self._is_bad(lo, hi):
-            self.bad -= 1
-        if lo is not None and self._is_bad(lo, y):
-            self.bad += 1
-        if hi is not None and self._is_bad(y, hi):
-            self.bad += 1
-        self.ys.insert(i, y)
+        ys, side = self.ys, 2 * self.w
+        i = bisect_left(ys, y)
+        lo, hi = ys[i - 1], ys[i]
+        self.bad += (y - lo >= side) + (hi - y >= side) - (hi - lo >= side)
+        ys.insert(i, y)
 
     def remove(self, y):
-        i = bisect_left(self.ys, y)
-        lo = self.ys[i - 1] if i > 0 else None
-        hi = self.ys[i + 1] if i + 1 < len(self.ys) else None
-        if lo is not None and self._is_bad(lo, y):
-            self.bad -= 1
-        if hi is not None and self._is_bad(y, hi):
-            self.bad -= 1
-        if lo is not None and hi is not None and self._is_bad(lo, hi):
-            self.bad += 1
-        self.ys.pop(i)
+        ys, side = self.ys, 2 * self.w
+        i = bisect_left(ys, y)
+        lo, hi = ys[i - 1], ys[i + 1]
+        self.bad += (hi - lo >= side) - (y - lo >= side) - (hi - y >= side)
+        ys.pop(i)
 
     def uncovered(self) -> bool:
-        ys = self.ys
-        if not ys:
-            return True
-        return (ys[0] - self.w >= self.y0
-                or ys[-1] + self.w <= self.y1
-                or self.bad > 0)
+        return self.bad > 0
 
     def witness_y(self) -> int:
-        ys = self.ys
-        if not ys or ys[0] - self.w >= self.y0:
-            return self.y0
-        if ys[-1] + self.w <= self.y1:
-            return ys[-1] + self.w
-        for a, b in zip(ys, ys[1:]):
-            if self._is_bad(a, b):
-                return max(a + self.w, self.y0)
-        raise AssertionError("witness requested on a covered strip")
+        """The bottom of the bottom gap, else of the top one, else of the
+        lowest gap: a + w for the gap's lower center a."""
+        ys, side = self.ys, 2 * self.w
+        if ys[1] - ys[0] < side <= ys[-1] - ys[-2]:
+            a = ys[-2]
+        else:
+            a = next(a for a, b in zip(ys, ys[1:]) if b - a >= side)
+        return a + self.w
 
 
 def _prefilter(cxs, cys, w, box):
@@ -326,13 +284,19 @@ def _prefilter(cxs, cys, w, box):
 
 
 def uncovered_scaled(cxs, cys, w, box):
-    """Point of box not in any open square, or None. Even ints throughout."""
+    """Leftmost point of box in no open square, or None. Integers throughout.
+
+    Coverage is checked only at the event x's, where a square enters or
+    leaves, and at the box's ends. The squares over a strip between two
+    events are those over its left end plus those entering there, so a
+    strip is uncovered only if its left end already is. The point
+    returned has the smallest such x, and at that x the y that
+    ``_Column.witness_y`` picks.
+    """
     X0, X1, Y0, Y1 = box
     cxs, cys, covered_all = _prefilter(cxs, cys, w, box)
     if covered_all:
         return None
-    if not cxs:
-        return (X0, Y0)
     enters: dict[int, list[int]] = {}
     exits: dict[int, list[int]] = {}
     col = _Column(w, Y0, Y1)
@@ -344,17 +308,13 @@ def uncovered_scaled(cxs, cys, w, box):
             enters.setdefault(xl, []).append(y)
         if X0 < xr <= X1:
             exits.setdefault(xr, []).append(y)
-    events = sorted({X0, X1} | set(enters) | set(exits))
-    for i, x in enumerate(events):
+    for x in sorted({X0, X1} | set(enters) | set(exits)):
         for y in exits.get(x, ()):
             col.remove(y)
         if col.uncovered():
             return (x, col.witness_y())
         for y in enters.get(x, ()):
             col.add(y)
-        if i + 1 < len(events):
-            if col.uncovered():
-                return ((x + events[i + 1]) // 2, col.witness_y())
     return None
 
 
@@ -369,21 +329,22 @@ def decide(ps: PointSet, r: Scalar) -> tuple[bool, PlanarPoint | None]:
     if ps.dimension != 3:
         raise UsageError("decide expects dimension 3")
     r = Fraction(r)
-    fr = scaled_frame(ps, r)
+    fr = scaled_frame(ps)
     # normalized: the heights span the longest side, centered at 0
     zs = [p[-1] for p in fr.pts]
     if min(zs) != -fr.half or max(zs) != fr.half:
         raise PreconditionError("point set is not normalized")
-    w = r.numerator * (fr.U // r.denominator)
+    # scaled by k more, r is a frame integer too
+    k, w = r.denominator, r.numerator * fr.U
     cxs, cys = [], []
     for x, y, z in fr.pts:
-        if abs(z) < w:
-            cxs.append(x)
-            cys.append(y)
-    hit = uncovered_scaled(cxs, cys, w, fr.box)
+        if abs(z) * k < w:
+            cxs.append(x * k)
+            cys.append(y * k)
+    hit = uncovered_scaled(cxs, cys, w, tuple(v * k for v in fr.box))
     if hit is None:
         return (False, None)
-    return (True, (fr.value(hit[0]), fr.value(hit[1])))
+    return (True, (Fraction(hit[0], fr.U * k), Fraction(hit[1], fr.U * k)))
 
 
 def uncovered_witness(dom: CenterDomain, squares, w: Scalar) -> PlanarPoint | None:

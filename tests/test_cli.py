@@ -11,8 +11,10 @@ import pytest
 from conftest import pts
 from cubeshell.cli import main
 from cubeshell.errors import EmptyInputError, UsageError
-from cubeshell.geometry import PointSet
+from cubeshell.geometry import PointSet, center_domain, normalize
 from cubeshell.pointio import (generate_points, parse_points, write_points)
+from cubeshell.rational import parse_scalar
+from cubeshell.squares import decide
 from cubeshell.svgfig import figure
 
 F = Fraction
@@ -207,6 +209,32 @@ class TestDecideCommand:
         code, _, _ = run_cli(capsys, ["decide", "--level", "-1"],
                              stdin_text=CORNERS, monkeypatch=monkeypatch)
         assert code == 2
+
+    @pytest.mark.parametrize("level", ["1", "7/3", "1000000"])
+    def test_decide_builds_no_fraction_rows(self, capsys, monkeypatch,
+                                            tmp_path, level):
+        # normalize, decide and center_domain read the parsed integers
+        text = write_points(generate_points(300, 3, "uniform", 6))
+        path = tmp_path / "p.txt"
+        path.write_text(text)
+        args = ["decide", "--level", level]
+        want = run_cli(capsys, [*args, str(path)])
+
+        def library():
+            psn, nrm = normalize(parse_points(text.splitlines()))
+            return decide(psn, parse_scalar(level)), center_domain(psn), nrm
+
+        lib = library()
+
+        def built(ps):
+            raise AssertionError("the parsed points were made Fractions")
+
+        monkeypatch.setattr(PointSet, "points", property(built))
+        assert run_cli(capsys, [*args, str(path)]) == want
+        assert run_cli(capsys, args, stdin_text=text,
+                       monkeypatch=monkeypatch) == want
+        assert library() == lib
+        assert want[0] == (1 if level == "1000000" else 0)
 
 
 class TestOracleCommand:

@@ -1,3 +1,7 @@
+import importlib
+import runpy
+from pathlib import Path
+
 import pytest
 
 import cubeshell
@@ -25,3 +29,14 @@ class TestLazySurface:
         with pytest.raises(AttributeError, match="no_such_name"):
             cubeshell.no_such_name
         assert not hasattr(cubeshell, "no_such_name")
+
+
+class TestBenchmarkSpans:
+    def test_traced_functions_resolve(self):
+        # a renamed function would leave its span, and its metrics, at 0
+        spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        targets = runpy.run_path(str(spans))["TARGETS"]
+        assert targets
+        for module, function, *_ in targets:
+            mod = importlib.import_module(f"cubeshell.{module}")
+            assert callable(getattr(mod, function, None)), (module, function)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cubeshell.errors import UsageError
-from cubeshell.geometry import PointSet, int_frame, point_set, scaled_frame
+from cubeshell.geometry import PointSet, int_frame, point_set
 from cubeshell.pointio import (load_points, parse_bytes, parse_points,
                                parse_ratio)
 from cubeshell.rational import parse_scalar
@@ -154,10 +154,6 @@ class TestParsedPointSet:
         assert a.nrm == b.nrm and a.domain() == b.domain()
         assert ([[a.value(v) for v in p] for p in a]
                 == [[b.value(v) for v in p] for p in b])
-        # an extra value's denominator joins U, as it does for rows
-        fr = scaled_frame(parsed, F(1, 7))
-        assert fr.U % 7 == 0
-        assert [tuple(fr.value(v) for v in p) for p in fr] == list(parsed.points)
 
     def test_rejects_bad_ratios(self):
         for nums, dens in (([], []), ([1, 2, 3], [1, 1, 1]), ([1, 2], [1]),

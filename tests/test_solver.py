@@ -257,19 +257,6 @@ class TestContacts:
             assert (res.outer_contacts, res.inner_contacts) == _fraction_contacts(
                 ps, sh.center, sh.outer_radius, sh.inner_radius)
 
-    def test_center_off_the_frame_grid(self, rng):
-        # a center whose denominator does not divide U is refined exactly
-        for _ in range(20):
-            ps = _mixed_points(rng, rng.randint(3, 14), 3)
-            psn, _ = normalize(ps)
-            fr = int_frame(ps)
-            c = (center_domain(psn).box.lo[0] + F(1, 3 * fr.U),
-                 psn.points[0][1])
-            rstar = inner_radius_at(psn, c)
-            got = _contacts(fr, c, rstar)
-            assert got == _fraction_contacts(psn, lift(c), fr.value(fr.half), rstar)
-            assert got[1]
-
 
 class TestSolve2d:
     def test_diamond_zero_width(self):

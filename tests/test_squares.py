@@ -242,3 +242,50 @@ class TestInt64Limit:
             assert bhit == (None if hit is None else (hit[0] * big, hit[1] * big))
         assert uncovered_scaled(xs, ys, lo, box) is not None
         assert uncovered_scaled(xs, ys, hi, box) is None
+
+
+def _brute_uncovered(xs, ys, w, box):
+    """Uncovered points of box among the sweep's possible answers.
+
+    The leftmost uncovered x is X0 or a square side, and at that x the
+    uncovered y's are closed intervals ending at Y0, Y1 or square sides.
+    """
+    X0, X1, Y0, Y1 = box
+    px = {v for v in (X0, X1, *(x + s for x in xs for s in (-w, w)))
+          if X0 <= v <= X1}
+    py = {v for v in (Y0, Y1, *(y + s for y in ys for s in (-w, w)))
+          if Y0 <= v <= Y1}
+    return [(a, b) for a in px for b in py
+            if not any(abs(a - x) < w and abs(b - y) < w
+                       for x, y in zip(xs, ys))]
+
+
+class TestSweepProperty:
+    def test_leftmost_uncovered_x(self, rng):
+        for k in range(2400):
+            span = rng.choice((3, 8, 20))
+            X0, Y0 = rng.randint(-span, span), rng.randint(-span, span)
+            X1 = X0 + rng.choice((0, rng.randint(0, span)))
+            Y1 = Y0 + rng.choice((0, rng.randint(0, span)))
+            w = rng.choice((0, rng.randint(1, span)))
+            n = rng.randint(0, 10)
+            xs = [rng.randint(-2 * span, 2 * span) for _ in range(n)]
+            ys = [rng.randint(-2 * span, 2 * span) for _ in range(n)]
+            dup = rng.randint(0, n)
+            xs, ys = xs + xs[:dup], ys + ys[:dup]
+            box = (X0, X1, Y0, Y1)
+            if k % 5 == 0:
+                big = 2**61
+                xs, ys = [x * big for x in xs], [y * big for y in ys]
+                w, box = w * big, tuple(v * big for v in box)
+            hit = uncovered_scaled(xs, ys, w, box)
+            brute = _brute_uncovered(xs, ys, w, box)
+            if not brute:
+                assert hit is None
+                continue
+            assert hit is not None
+            x, y = hit
+            assert box[0] <= x <= box[1] and box[2] <= y <= box[3]
+            assert not any(abs(x - u) < w and abs(y - v) < w
+                           for u, v in zip(xs, ys))
+            assert x == min(a for a, _ in brute)
