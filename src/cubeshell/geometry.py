@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain, product, repeat
 from math import lcm
-from typing import Iterable, Iterator, Sequence
+from operator import mul, sub
+from typing import Iterable, Iterator
 
 from .errors import PreconditionError, UsageError
 from .rational import Scalar
@@ -32,9 +33,9 @@ class PointSet:
     A set made by ``from_ratios``, as the parser makes them, holds its
     points as the integer frame's input instead: a scale U and one column
     per axis of the coordinates times U. Its rows of Fractions are built
-    on the first access to ``points``, which a solve never makes. Either
-    way the set is immutable and compares and hashes by its points and
-    dimension.
+    on the first access to ``points``, which a solve never makes (one from
+    ``normalize`` keeps its columns' extremes too). Either way the set is
+    immutable and compares and hashes by its points and dimension.
     """
 
     __match_args__ = ("points", "dimension")
@@ -74,18 +75,19 @@ class PointSet:
         return cls._scaled_by(U, cols)
 
     @classmethod
-    def _scaled_by(cls, U: int, cols) -> PointSet:
-        """The points whose coordinates are the columns' integers over U."""
+    def _scaled_by(cls, U: int, cols, bounds=None) -> PointSet:
+        """The points whose coordinates are the columns' integers over U;
+        cols is a tuple of tuples, and bounds their (minima, maxima) if known."""
         ps = cls.__new__(cls)
         object.__setattr__(ps, "_points", None)
-        object.__setattr__(ps, "_scaled", (U, cols))
+        object.__setattr__(ps, "_scaled", (U, cols, bounds))
         object.__setattr__(ps, "dimension", len(cols))
         return ps
 
     @property
     def points(self) -> tuple[Coords, ...]:
         if self._points is None:
-            U, cols = self._scaled
+            U, cols, _ = self._scaled
             rows = tuple(zip(*[[Fraction(v, U) for v in col] for col in cols]))
             object.__setattr__(self, "_points", rows)
         return self._points
@@ -213,19 +215,24 @@ def normalize(ps: PointSet) -> tuple[PointSet, Normalization]:
     The normalized set holds its frame: a scale U, twice the lcm of the
     input denominators (doubled once more when the longest axis has an odd
     midpoint, which centering would otherwise leave in odd coordinates),
-    and its columns times U. Its rows of Fractions are built only if read.
+    its columns times U and their extremes, and Fraction rows only if read.
     """
-    U, cols = _scaled_columns(ps)
-    sides = [max(col) - min(col) for col in cols]
+    U, cols, lo, hi = _scaled_columns(ps)
+    sides = list(map(sub, hi, lo))
     longest = sides.index(max(sides))
-    mid = (min(cols[longest]) + max(cols[longest])) // 2
+    mid = (lo[longest] + hi[longest]) // 2
     if mid % 2:
         U, mid = 2 * U, 2 * mid
-        cols = [[2 * v for v in col] for col in cols]
+        cols = [tuple(map(mul, col, repeat(2))) for col in cols]
+        lo, hi = [2 * v for v in lo], [2 * v for v in hi]
     order = tuple(i for i in range(ps.dimension) if i != longest) + (longest,)
-    cols = [cols[a] for a in order[:-1]] + [[v - mid for v in cols[longest]]]
+    cols = [cols[a] for a in order]
+    cols[-1] = tuple(map(sub, cols[-1], repeat(mid)))
+    lo, hi = [lo[a] for a in order], [hi[a] for a in order]
+    lo[-1], hi[-1] = lo[-1] - mid, hi[-1] - mid
     translation = (Fraction(0),) * (ps.dimension - 1) + (Fraction(-mid, U),)
-    return PointSet._scaled_by(U, cols), Normalization(order, translation)
+    return (PointSet._scaled_by(U, tuple(cols), (lo, hi)),
+            Normalization(order, translation))
 
 
 @dataclass(frozen=True)
@@ -260,24 +267,25 @@ def even_scale(values: Iterable[Scalar]) -> int:
 class IntFrame:
     """A point set and its center domain on integers, scaled by one factor U.
 
-    ``pts`` holds the frame's points times U, in input order; ``half`` is
-    the outer radius and ``box`` the center box (lo_0, hi_0, lo_1, hi_1,
-    ...) times U. Every value is an even integer, so the midpoint of two
-    of them is an integer too. ``nrm`` maps original points to the frame's
-    unscaled ones. Like a PointSet, a frame iterates over its points.
+    ``cols`` holds one tuple per axis of the frame's coordinates times U, in
+    input order, and nothing is kept per point; ``half`` is the outer radius
+    and ``box`` the center box (lo_0, hi_0, lo_1, hi_1, ...) times U. Every
+    value is an even integer, so the midpoint of two of them is an integer
+    too. ``nrm`` maps original points to the frame's unscaled ones. Like a
+    PointSet, a frame has a length and iterates over its points (as rows).
     """
 
     U: int
-    pts: list[tuple[int, ...]]
+    cols: tuple[tuple[int, ...], ...]
     nrm: Normalization
     half: int
     box: tuple[int, ...]
 
     def __len__(self) -> int:
-        return len(self.pts)
+        return len(self.cols[0])
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return iter(self.pts)
+        return zip(*self.cols)
 
     def value(self, v: int) -> Fraction:
         """A frame integer as the rational it stands for."""
@@ -290,35 +298,37 @@ class IntFrame:
         return CenterDomain(self.value(self.half), Box(lo, hi), rank)
 
 
-def _scaled_columns(ps: PointSet) -> tuple[int, Sequence[Sequence[int]]]:
+def _scaled_columns(ps: PointSet):
+    """U, the columns times U as tuples, and the columns' minima and maxima."""
     if ps._scaled is not None:
-        return ps._scaled
-    U = even_scale(chain.from_iterable(ps))
-    return U, [[c.numerator * (U // c.denominator) for c in col]
-               for col in zip(*ps)]
+        U, cols, bounds = ps._scaled
+    else:
+        U, bounds = even_scale(chain.from_iterable(ps)), None
+        cols = tuple(tuple([c.numerator * (U // c.denominator) for c in col])
+                     for col in zip(*ps))
+    lo, hi = bounds or (list(map(min, cols)), list(map(max, cols)))
+    return U, cols, lo, hi
 
 
-def _frame(U, cols, nrm) -> IntFrame:
+def _frame(U, cols, lo, hi, nrm) -> IntFrame:
     # per axis i < d the center interval is [max_i - h/2, min_i + h/2]
-    lo = [min(col) for col in cols]
-    hi = [max(col) for col in cols]
-    half = max(b - a for a, b in zip(lo, hi)) // 2
+    half = max(map(sub, hi, lo)) // 2
     box = tuple(v for a, b in zip(lo[:-1], hi[:-1]) for v in (b - half, a + half))
-    return IntFrame(U, list(zip(*cols)), nrm, half, box)
+    return IntFrame(U, cols, nrm, half, box)
 
 
 def int_frame(ps: PointSet) -> IntFrame:
-    """The frame of ps normalized: ``normalize``'s U and columns, and its map."""
+    """The frame of ps normalized: ``normalize``'s columns, extremes and map."""
     psn, nrm = normalize(ps)
-    return _frame(*psn._scaled, nrm)
+    return _frame(*_scaled_columns(psn), nrm)
 
 
 def scaled_frame(psn: PointSet) -> IntFrame:
     """The frame of a point set taken as already normalized.
 
     A set that ``normalize`` or the parser made holds its U and columns,
-    and the frame reuses them; a set of Fraction rows is scaled by twice
-    the lcm of its denominators.
+    and the frame reuses them (and ``normalize``'s column extremes); a set
+    of Fraction rows is scaled by twice the lcm of its denominators.
     """
     d = psn.dimension
     return _frame(*_scaled_columns(psn),

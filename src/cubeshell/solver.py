@@ -2,6 +2,9 @@
 
 Each solver normalizes and scales its input once, into an IntFrame, and
 works on its integers; values become rationals only in the result. The
+frame holds one column per axis, and every O(n) pass (the order by
+height, the low sites, the 2D narrowing and the contacts) runs column by
+column in C-level ``map``/``sorted``/``list.index`` calls. The
 d = 3 solver maximizes the inner radius over the center domain two ways,
 both driven by the one coverage sweep (``uncovered_scaled``): a binary
 search over the plateau levels, and a sorted-matrix search over the
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import islice
+from itertools import compress, islice, repeat
 from math import floor
 from operator import itemgetter, sub
 
@@ -75,16 +78,17 @@ def solve_plateau_case(psn: PointSet | IntFrame):
 
     psn is a normalized point set or its IntFrame. Monotonicity of the
     decision in the radius makes the binary search over the sorted
-    distinct levels valid. The points are sorted by height once, so the
-    squares active at a level are a prefix of that order. Returns
+    distinct levels valid. The point indices are sorted by height once, so
+    the squares active at a level are a prefix of that order. Returns
     (level, center); the lowest level is always feasible, since no square
     is active there.
     """
     fr = _frame_of(psn)
-    pts = sorted(fr.pts, key=lambda p: abs(p[-1]))
-    heights = [abs(p[-1]) for p in pts]
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
+    X, Y, Z = fr.cols
+    abs_heights = list(map(abs, Z))
+    order = sorted(range(len(Z)), key=abs_heights.__getitem__)
+    heights, xs, ys = [list(map(col.__getitem__, order))
+                       for col in (abs_heights, X, Y)]
 
     def test(h):
         k = bisect_left(heights, h)
@@ -121,9 +125,10 @@ def solve_voronoi_case(psn: PointSet | IntFrame, level: Scalar | None = None):
     them, so O(log m) sweeps suffice for m sites.
     """
     fr = _frame_of(psn)
+    X, Y, Z = fr.cols
     # heights are frame integers, so |z| <= level exactly when |z| <= floor
-    top = None if level is None else floor(level * fr.U)
-    low = {(p[0], p[1]) for p in fr.pts if top is None or abs(p[-1]) <= top}
+    top = max(map(abs, Z)) if level is None else floor(level * fr.U)
+    low = set(compress(zip(X, Y), map(top.__ge__, map(abs, Z))))
     if not low:
         return None, 0
     # sites further from the domain than this bound are never nearest
@@ -176,18 +181,26 @@ def _contacts(fr: IntFrame, center_planar: PlanarPoint, rstar: Scalar):
 
     The solvers' centers and r* are frame integers: every center is a
     box corner, a sweep witness or a gap midpoint, and r* is the distance
-    from the center to some point.
+    from the center to some point. The distances are built column by
+    column, starting from the heights (the center lies in the plane
+    z = 0), and each radius is found in them by repeated ``list.index``.
     """
-    center = [int(v * fr.U) for v in center_planar] + [0]
-    outer_r, inner_r = fr.half, int(rstar * fr.U)
-    outer, inner = [], []
-    for i, p in enumerate(fr.pts):
-        d = max(map(abs, map(sub, p, center)))
-        if d == outer_r:
-            outer.append(i)
-        if d == inner_r:
-            inner.append(i)
-    return tuple(outer), tuple(inner)
+    *planar, heights = fr.cols
+    dist = map(abs, heights)
+    for col, v in zip(planar, center_planar):
+        dist = map(max, dist, map(abs, map(sub, col, repeat(int(v * fr.U)))))
+    dist = list(dist)
+    return _positions(dist, fr.half), _positions(dist, int(rstar * fr.U))
+
+
+def _positions(values: list, v) -> tuple[int, ...]:
+    """The indices at which v occurs in values, ascending."""
+    out = [-1]
+    try:
+        while True:
+            out.append(values.index(v, out[-1] + 1))
+    except ValueError:
+        return tuple(out[1:])
 
 
 def _finish(fr: IntFrame, center_planar: PlanarPoint, rstar: Scalar, tag: str,
@@ -241,10 +254,10 @@ def solve2d(ps: PointSet) -> SolveResult:
 
     lo_c, hi_c = fr.box
     # the lowest point above an x bars whatever the others there bar
+    X, Z = fr.cols
     narrow: dict[int, int] = {}
-    for x, z in fr.pts:
-        w = abs(z)
-        if x not in narrow or w < narrow[x]:
+    for x, w in zip(X, map(abs, Z)):
+        if narrow.setdefault(x, w) > w:
             narrow[x] = w
     funcs = sorted(narrow.items())
 
@@ -278,8 +291,8 @@ def solve2d(ps: PointSet) -> SolveResult:
     outer, inner = _contacts(fr, c_star, rstar)
     # the inner contacts are the points at lifted distance r*; the tag says
     # whether a height, a planar distance, or both reach it there
-    plateau_hit = any(abs(fr.pts[i][-1]) == best_v for i in inner)
-    voronoi_hit = any(abs(fr.pts[i][0] - best_c) == best_v for i in inner)
+    plateau_hit = any(abs(Z[i]) == best_v for i in inner)
+    voronoi_hit = any(abs(X[i] - best_c) == best_v for i in inner)
     tag = "both" if plateau_hit and voronoi_hit else (
         "plateau" if plateau_hit else "voronoi")
     return _finish(fr, c_star, rstar, tag, len(cands), (outer, inner))
@@ -290,7 +303,7 @@ def solve1d(ps: PointSet) -> SolveResult:
         raise UsageError("solve1d expects dimension 1")
     # the frame centers the points, so the center is 0 there
     fr = int_frame(ps)
-    inner = fr.value(min(abs(x) for x, in fr.pts))
+    inner = fr.value(min(map(abs, fr.cols[0])))
     return _finish(fr, (), inner, "plateau", len(ps), _contacts(fr, (), inner))
 
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, repeat
+from operator import mul
 
 from .errors import PreconditionError, UsageError
 from .geometry import (
@@ -330,17 +332,15 @@ def decide(ps: PointSet, r: Scalar) -> tuple[bool, PlanarPoint | None]:
         raise UsageError("decide expects dimension 3")
     r = Fraction(r)
     fr = scaled_frame(ps)
+    X, Y, Z = fr.cols
     # normalized: the heights span the longest side, centered at 0
-    zs = [p[-1] for p in fr.pts]
-    if min(zs) != -fr.half or max(zs) != fr.half:
+    if min(Z) != -fr.half or max(Z) != fr.half:
         raise PreconditionError("point set is not normalized")
     # scaled by k more, r is a frame integer too
     k, w = r.denominator, r.numerator * fr.U
-    cxs, cys = [], []
-    for x, y, z in fr.pts:
-        if abs(z) * k < w:
-            cxs.append(x * k)
-            cys.append(y * k)
+    active = list(map(w.__gt__, map(mul, map(abs, Z), repeat(k))))
+    cxs = list(map(mul, compress(X, active), repeat(k)))
+    cys = list(map(mul, compress(Y, active), repeat(k)))
     hit = uncovered_scaled(cxs, cys, w, tuple(v * k for v in fr.box))
     if hit is None:
         return (False, None)

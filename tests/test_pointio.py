@@ -154,6 +154,12 @@ class TestParsedPointSet:
         assert a.nrm == b.nrm and a.domain() == b.domain()
         assert ([[a.value(v) for v in p] for p in a]
                 == [[b.value(v) for v in p] for p in b])
+        # at equal U the two input paths give equal frames, columns included
+        for text in (["1/2 3 1", "-5 0 2", "1 1 1"], ["0 1/3", "1 0"]):
+            parsed = parse_points(text)
+            rows = point_set(parsed.points)
+            assert int_frame(parsed) == int_frame(rows)
+            assert len(int_frame(parsed)) == len(text)
 
     def test_rejects_bad_ratios(self):
         for nums, dens in (([], []), ([1, 2, 3], [1, 1, 1]), ([1, 2], [1]),

@@ -122,7 +122,7 @@ class TestVoronoiCase:
             fr = int_frame(ps)
             level, _ = solve_plateau_case(fr)
             (value, center), sweeps = solve_voronoi_case(fr, level)
-            low = [(fr.value(p[0]), fr.value(p[1])) for p in fr.pts
+            low = [(fr.value(p[0]), fr.value(p[1])) for p in fr
                    if fr.value(abs(p[2])) <= level]
             assert value == _diagram_value(low, fr.domain())
             assert min(linf_dist(center, s) for s in low) == value
@@ -257,6 +257,35 @@ class TestContacts:
             assert (res.outer_contacts, res.inner_contacts) == _fraction_contacts(
                 ps, sh.center, sh.outer_radius, sh.inner_radius)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_tie_heavy(self, rng, dim):
+        # nearly every point is a contact, so each radius occurs ~n times
+        n = 2000
+
+        def surface():
+            # on the boundary of [-1, 1]^dim: a width-0 shell at the origin
+            row = [F(rng.randint(-8, 8), 8) for _ in range(dim)]
+            row[rng.randrange(dim)] = F(rng.choice((-1, 1)))
+            return row
+
+        families = (
+            [[F(1, 3), F(-2), F(5)][:dim]] * n,
+            [[rng.randint(-1, 1) for _ in range(dim)] for _ in range(n)],
+            [[rng.randint(0, 1)] + [F(rng.randint(0, 8), 8)
+                                    for _ in range(dim - 1)]
+             for _ in range(n)],
+            [surface() for _ in range(n)],
+        )
+        for rows in families:
+            ps = pts(*rows)
+            res = solve(ps)
+            sh = res.shell
+            contacts = (res.outer_contacts, res.inner_contacts)
+            assert contacts == _fraction_contacts(
+                ps, sh.center, sh.outer_radius, sh.inner_radius)
+            assert len(contacts[0]) + len(contacts[1]) >= n
+        assert res.width == 0 and len(res.inner_contacts) == n
+
 
 class TestSolve2d:
     def test_diamond_zero_width(self):
@@ -362,8 +391,9 @@ def _envelope_2d(ps):
     """
     fr = int_frame(ps)
     lo_c, hi_c = fr.box
+    X, Z = fr.cols
     narrow = {}
-    for x, z in fr.pts:
+    for x, z in zip(X, Z):
         narrow[x] = min(abs(z), narrow.get(x, abs(z)))
     stack = []
     for x, w in sorted(narrow.items()):
@@ -388,8 +418,8 @@ def _envelope_2d(ps):
                 best_v, best_c = v, c
     rstar, center = fr.value(best_v), (fr.value(best_c),)
     outer, inner = _contacts(fr, center, rstar)
-    heights = any(abs(fr.pts[i][1]) == best_v for i in inner)
-    planar = any(abs(fr.pts[i][0] - best_c) == best_v for i in inner)
+    heights = any(abs(Z[i]) == best_v for i in inner)
+    planar = any(abs(X[i] - best_c) == best_v for i in inner)
     tag = ("both" if heights and planar else
            "plateau" if heights else "voronoi")
     shell_center = fr.nrm.invert(lift(center))
