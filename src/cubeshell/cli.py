@@ -126,8 +126,7 @@ def cmd_union(args) -> int:
     if level < 0:
         raise UsageError("level must be nonnegative")
     psn, _ = normalize(ps)
-    squares = [s for s in (clip_ball(p, level, i) for i, p in enumerate(psn))
-               if s is not None]
+    squares = [s for s in (clip_ball(p, level) for p in psn) if s is not None]
     ub = union_of_squares(squares)
     places = args.precision
     payload = {

@@ -5,6 +5,10 @@ yields a set of equal open squares; a center admits that radius exactly
 when it avoids all of their interiors. This module builds the boundary of
 such a square union and answers the coverage decision with an exact
 witness, via a left-to-right sweep over the squares' vertical sides.
+Both sweeps keep the active centers' ys in one sorted list with sentinels
+at either end and update it per square: the coverage sweep counts the
+gaps of at least 2w, and the boundary sweep toggles the piece of the gap
+that each entering or leaving square covers or uncovers.
 
 All sweep arithmetic runs on scaled integers; public results are rationals.
 """
@@ -34,7 +38,6 @@ class Square:
 
     center: PlanarPoint
     radius: Scalar
-    source_index: int | None = None
 
     def __post_init__(self):
         if len(self.center) != 2:
@@ -58,7 +61,7 @@ class UnionBoundary:
     area: Scalar
 
 
-def clip_ball(p, w: Scalar, source_index: int | None = None) -> Square | None:
+def clip_ball(p, w: Scalar) -> Square | None:
     """Planar cross-section of the open ball of radius w around p.
 
     Empty (None) exactly when the point's height is at least w.
@@ -69,90 +72,60 @@ def clip_ball(p, w: Scalar, source_index: int | None = None) -> Square | None:
         raise UsageError("clip_ball expects a spatial point")
     if abs(p[-1]) >= w:
         return None
-    return Square((p[0], p[1]), w, source_index)
+    return Square((p[0], p[1]), w)
 
 
 # ---------------------------------------------------------------------------
 # Union boundary sweep (integer coordinates).
 
 
-def _merged(intervals):
-    """Merge closed intervals, joining at touch points."""
-    out = []
-    for lo, hi in sorted(intervals):
-        if out and lo <= out[-1][1]:
-            if hi > out[-1][1]:
-                out[-1][1] = hi
-        else:
-            out.append([lo, hi])
-    return out
-
-
-def _covers(merged, a, b):
-    """True when some merged interval contains [a, b]."""
-    i = bisect_left(merged, [a + 1]) - 1
-    if i < 0:
-        i = 0
-    for lo, hi in merged[i:i + 2]:
-        if lo <= a and b <= hi:
-            return True
-    return False
-
-
 def _axis_runs(sq, w):
-    """Vertical boundary runs and their vertices for deduped int squares.
+    """Vertical boundary runs of deduped int squares, and the union's area.
 
-    Also returns the union's area as the boundary integral of x dy: a
-    piece covered on its left only is an upward stretch of the boundary,
-    one covered on its right only a downward one, holes included.
+    The active centers' ys stay in one sorted list between two sentinels,
+    3w below and above every center, so each center has neighbours a and
+    b. At an event x, a center leaving or entering toggles the piece
+    (max(a + w, y - w), min(b - w, y + w)) of the gap it sits in, empty
+    unless b - a > 2w, so touching squares join. The boundary at x is where
+    an odd number of pieces overlap, cut at every piece end: where two ends
+    meet, the covered side may flip, a pinch. A part (p, q) is covered on
+    the right exactly when some y left in the list lies in [q - w, p + w].
+
+    The area is the boundary integral of x dy: a part covered on its left
+    only is an upward stretch of the boundary, one covered on its right
+    only a downward one, holes included.
     """
     enters: dict[int, list[int]] = {}
     exits: dict[int, list[int]] = {}
     for cx, cy in sq:
         enters.setdefault(cx - w, []).append(cy)
         exits.setdefault(cx + w, []).append(cy)
-    events = sorted(set(enters) | set(exits))
-    active: list[int] = []
+    ys = [min(cy for _, cy in sq) - 3 * w, max(cy for _, cy in sq) + 3 * w]
     runs = []
-    vertices = set()
     area = 0
-    for x in events:
-        left = [(cy - w, cy + w) for cy in active]
-        for cy in exits.get(x, ()):
-            active.remove(cy)
-        for cy in enters.get(x, ()):
-            active.append(cy)
-        right = [(cy - w, cy + w) for cy in active]
-        ml = _merged(left)
-        mr = _merged(right)
-        ys = sorted({v for lo, hi in ml + mr for v in (lo, hi)})
-        run_start = None
-        prev_side = None
-        for k in range(len(ys) - 1):
-            a, b = ys[k], ys[k + 1]
-            cl = _covers(ml, a, b)
-            cr = _covers(mr, a, b)
-            if cl != cr:
-                area += (x if cl else -x) * (b - a)
-                if run_start is None:
-                    run_start = a
-                elif prev_side != cl:
-                    # pinch: the covered side flips through the breakpoint
-                    runs.append((x, run_start, a))
-                    vertices.add((x, run_start))
-                    vertices.add((x, a))
-                    run_start = a
-                prev_side = cl
-            elif run_start is not None:
-                runs.append((x, run_start, a))
-                vertices.add((x, run_start))
-                vertices.add((x, a))
-                run_start = None
-        if run_start is not None:
-            runs.append((x, run_start, ys[-1]))
-            vertices.add((x, run_start))
-            vertices.add((x, ys[-1]))
-    return runs, vertices, area
+    for x in sorted(enters.keys() | exits.keys()):
+        pieces = []
+        for y in exits.get(x, ()):
+            i = bisect_left(ys, y)
+            del ys[i]
+            pieces.append((max(ys[i - 1] + w, y - w), min(ys[i] - w, y + w)))
+        for y in enters.get(x, ()):
+            i = bisect_left(ys, y)
+            pieces.append((max(ys[i - 1] + w, y - w), min(ys[i] - w, y + w)))
+            ys.insert(i, y)
+        ends = sorted(v for lo, hi in pieces if lo < hi for v in (lo, hi))
+        side = None
+        for p, q in zip(ends[::2], ends[1::2]):
+            if p == q:
+                continue
+            right = ys[bisect_left(ys, q - w)] <= p + w
+            area += (-x if right else x) * (q - p)
+            if right == side and runs[-1][2] == p:
+                runs[-1] = (x, runs[-1][1], q)
+            else:
+                runs.append((x, p, q))
+            side = right
+    return runs, area
 
 
 def _component_count(sq, w) -> int:
@@ -194,20 +167,20 @@ def union_of_squares(squares) -> UnionBoundary:
     radius = squares[0].radius
     if any(s.radius != radius for s in squares):
         raise PreconditionError("union requires equal radii")
-    centers = sorted({(Fraction(s.center[0]), Fraction(s.center[1])) for s in squares})
+    centers = {(Fraction(s.center[0]), Fraction(s.center[1])) for s in squares}
     U = even_scale([radius, *(v for c in centers for v in c)])
     sq = [(int(x * U), int(y * U)) for x, y in centers]
     w = int(Fraction(radius) * U)
 
-    v_runs, v_pts, area = _axis_runs(sq, w)
-    h_runs, h_pts, _ = _axis_runs([(cy, cx) for cx, cy in sq], w)
+    v_runs, area = _axis_runs(sq, w)
+    h_runs, _ = _axis_runs([(cy, cx) for cx, cy in sq], w)
 
     def pt(x, y):
         return (Fraction(x, U), Fraction(y, U))
 
-    vertices = {pt(x, y) for x, y in v_pts} | {pt(y, x) for x, y in h_pts}
     edges = [(pt(x, y0), pt(x, y1)) for x, y0, y1 in v_runs]
     edges += [(pt(x0, y), pt(x1, y)) for y, x0, x1 in h_runs]
+    vertices = {v for e in edges for v in e}
     return UnionBoundary(
         tuple(sorted(vertices)),
         tuple(sorted(edges)),

@@ -1,6 +1,9 @@
 import random
+import time
 from fractions import Fraction
+from math import lcm
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -60,15 +63,23 @@ class TestUnionOfSquares:
         assert len(ub.vertices) == 4 and ub.area == 4
 
     def test_matches_arrangement_brute(self, rng):
-        for _ in range(30):
+        for k in range(60):
             n = rng.randint(1, 20)
-            w = F(rng.randint(1, 30), rng.choice((1, 2, 4)))
-            sqs = [_sq(F(rng.randint(-50, 50), rng.choice((1, 2))),
-                       F(rng.randint(-50, 50), rng.choice((1, 2))), w)
-                   for _ in range(n)]
+            if k % 2:
+                # centers at multiples of w: sides and corners touch exactly
+                w = F(rng.randint(1, 10), rng.choice((1, 2)))
+                sqs = [_sq(rng.randint(-8, 8) * w, rng.randint(-8, 8) * w, w)
+                       for _ in range(n)]
+            else:
+                w = F(rng.randint(1, 30), rng.choice((1, 2, 4)))
+                sqs = [_sq(F(rng.randint(-50, 50), rng.choice((1, 2))),
+                           F(rng.randint(-50, 50), rng.choice((1, 2))), w)
+                       for _ in range(n)]
             ub = union_of_squares(sqs)
             assert ub.area == union_area_brute(sqs)
             assert set(ub.vertices) == union_vertices_brute(sqs)
+            assert (sum(abs(b[0] - a[0]) + abs(b[1] - a[1]) for a, b in ub.edges)
+                    == _perimeter_brute(sqs))
 
     def test_area_of_a_few_hundred_squares(self, rng):
         for w in (F(3), F(15, 2)):
@@ -95,6 +106,41 @@ class TestUnionOfSquares:
             degree[a] = degree.get(a, 0) + 1
             degree[b] = degree.get(b, 0) + 1
         assert all(v % 2 == 0 for v in degree.values())
+
+    def test_scaling(self):
+        # heavily overlapping squares: every event sees most of them active
+        rng = random.Random(11)
+        timings = {}
+        for n in (1_000, 4_000):
+            sqs = [_sq(F(rng.randint(-800, 800), 8), F(rng.randint(-800, 800), 8),
+                       50) for _ in range(n)]
+            best = None
+            for _ in range(3):
+                t0 = time.perf_counter()
+                union_of_squares(sqs)
+                dt = time.perf_counter() - t0
+                best = dt if best is None else min(best, dt)
+            timings[n] = best
+        assert timings[4_000] < 1
+        assert timings[4_000] / timings[1_000] < 8
+
+
+def _perimeter_brute(sqs):
+    """Union perimeter: unit cell sides between covered and uncovered cells,
+    with every square scaled to integer corners."""
+    den = lcm(*(F(v).denominator for s in sqs for v in (*s.center, s.radius)))
+    sq = [(int(s.center[0] * den), int(s.center[1] * den), int(s.radius * den))
+          for s in sqs]
+    x0 = min(x - r for x, _, r in sq) - 1
+    y0 = min(y - r for _, y, r in sq) - 1
+    x1 = max(x + r for x, _, r in sq) + 1
+    y1 = max(y + r for _, y, r in sq) + 1
+    cov = np.zeros((x1 - x0, y1 - y0), dtype=bool)
+    for x, y, r in sq:
+        cov[x - r - x0:x + r - x0, y - r - y0:y + r - y0] = True
+    sides = (np.count_nonzero(cov[1:] != cov[:-1])
+             + np.count_nonzero(cov[:, 1:] != cov[:, :-1]))
+    return F(int(sides), den)
 
 
 def _all_pairs_components(sq, w):
