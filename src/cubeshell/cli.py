@@ -7,7 +7,8 @@ under the same name with an "_exact" suffix. Exit codes: 0 on success,
 usage errors.
 
 The oracle, diagram and figure modules are imported by the subcommands
-that use them, so ``solve`` loads neither them nor numpy.
+that use them, so ``solve`` loads neither them nor numpy; its records
+are built on ``geometry.Record``, so it loads no ``dataclasses`` either.
 """
 
 from __future__ import annotations

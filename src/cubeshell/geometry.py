@@ -7,12 +7,11 @@ primitives in this module work for any d >= 1.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import chain, product, repeat
 from math import lcm
 from operator import mul, sub
-from typing import Iterable, Iterator
 
 from .errors import PreconditionError, UsageError
 from .rational import Scalar
@@ -20,6 +19,58 @@ from .rational import Scalar
 Coords = tuple[Scalar, ...]
 # A point of the halving plane; one coordinate fewer than the input points.
 PlanarPoint = tuple[Scalar, ...]
+
+
+def _frozen(message: str) -> AttributeError:
+    # dataclasses loads inspect, ast and dis, so only a failing write loads it
+    from dataclasses import FrozenInstanceError
+    return FrozenInstanceError(message)
+
+
+class Record:
+    """Base of the package's immutable records, as ``@dataclass(frozen=True)``.
+
+    A subclass names its fields in ``__slots__``, which become its
+    ``__match_args__`` too, and sets them in its own ``__init__`` with
+    ``_fill``. Records of one class compare equal when their field tuples
+    are, hash as that tuple, print as ``Name(field=value, ...)`` and raise
+    FrozenInstanceError on assignment or deletion, all as a frozen
+    dataclass does, without the start-up cost of importing ``dataclasses``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls.__slots__
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._astuple()
+
+    def __setattr__(self, name, value):
+        raise _frozen(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise _frozen(f"cannot delete field {name!r}")
 
 
 def as_point(values: Iterable) -> Coords:
@@ -111,11 +162,8 @@ class PointSet:
     def __repr__(self) -> str:
         return f"PointSet(points={self.points!r}, dimension={self.dimension!r})"
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    __setattr__ = Record.__setattr__
+    __delattr__ = Record.__delattr__
 
 
 def point_set(rows: Iterable[Iterable]) -> PointSet:
@@ -126,19 +174,18 @@ def point_set(rows: Iterable[Iterable]) -> PointSet:
     return PointSet(pts, len(pts[0]))
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(Record):
     """Axis-aligned box given by closed per-axis intervals [lo_i, hi_i]."""
 
-    lo: Coords
-    hi: Coords
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if len(self.lo) != len(self.hi):
+    def __init__(self, lo: Coords, hi: Coords):
+        if len(lo) != len(hi):
             raise PreconditionError("box lo/hi dimension mismatch")
-        for a, b in zip(self.lo, self.hi):
+        for a, b in zip(lo, hi):
             if a > b:
                 raise PreconditionError("box interval has lo > hi")
+        self._fill(lo, hi)
 
     @property
     def dimension(self) -> int:
@@ -183,8 +230,7 @@ def smallest_enclosing_box(ps: PointSet) -> Box:
     return Box(lo, hi)
 
 
-@dataclass(frozen=True)
-class Normalization:
+class Normalization(Record):
     """Axis relabeling plus a translation along the final axis.
 
     ``axis_order[j]`` is the source axis placed at position j; the box's
@@ -192,8 +238,10 @@ class Normalization:
     so the halving plane becomes {last coordinate = 0}.
     """
 
-    axis_order: tuple[int, ...]
-    translation: Coords
+    __slots__ = ("axis_order", "translation")
+
+    def __init__(self, axis_order: tuple[int, ...], translation: Coords):
+        self._fill(axis_order, translation)
 
     def apply(self, p: Coords) -> Coords:
         permuted = tuple(p[a] for a in self.axis_order)
@@ -235,8 +283,7 @@ def normalize(ps: PointSet) -> tuple[PointSet, Normalization]:
             Normalization(order, translation))
 
 
-@dataclass(frozen=True)
-class CenterDomain:
+class CenterDomain(Record):
     """Centers of all smallest enclosing hypercubes, as a box in the plane.
 
     ``box`` lives in the halving plane {x_d = 0} (dimension d-1);
@@ -244,9 +291,10 @@ class CenterDomain:
     counts the box axes with zero extent.
     """
 
-    half_side: Scalar
-    box: Box
-    degeneracy_rank: int
+    __slots__ = ("half_side", "box", "degeneracy_rank")
+
+    def __init__(self, half_side: Scalar, box: Box, degeneracy_rank: int):
+        self._fill(half_side, box, degeneracy_rank)
 
 
 def center_domain(psn: PointSet) -> CenterDomain:
@@ -263,8 +311,7 @@ def even_scale(values: Iterable[Scalar]) -> int:
     return 2 * lcm(*{v.denominator for v in values})
 
 
-@dataclass(frozen=True)
-class IntFrame:
+class IntFrame(Record):
     """A point set and its center domain on integers, scaled by one factor U.
 
     ``cols`` holds one tuple per axis of the frame's coordinates times U, in
@@ -275,11 +322,11 @@ class IntFrame:
     PointSet, a frame has a length and iterates over its points (as rows).
     """
 
-    U: int
-    cols: tuple[tuple[int, ...], ...]
-    nrm: Normalization
-    half: int
-    box: tuple[int, ...]
+    __slots__ = ("U", "cols", "nrm", "half", "box")
+
+    def __init__(self, U: int, cols: tuple[tuple[int, ...], ...],
+                 nrm: Normalization, half: int, box: tuple[int, ...]):
+        self._fill(U, cols, nrm, half, box)
 
     def __len__(self) -> int:
         return len(self.cols[0])

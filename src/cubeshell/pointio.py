@@ -9,9 +9,8 @@ dimension is taken from the first data line unless the caller pins it.
 from __future__ import annotations
 
 import io
-import random
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 from .errors import EmptyInputError, UsageError
 from .geometry import Coords, PointSet
@@ -167,5 +166,6 @@ def generate_points(n: int, dimension: int, distribution: str = "uniform",
         raise UsageError("generated dimension must be 1, 2, or 3")
     if distribution not in DISTRIBUTIONS:
         raise UsageError(f"unknown distribution {distribution!r}")
+    import random  # only the generators use it; solve never loads it
     rows = DISTRIBUTIONS[distribution](random.Random(seed), dimension, n)
     return PointSet(tuple(rows), dimension)

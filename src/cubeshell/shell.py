@@ -8,23 +8,21 @@ usable inner radius at c is the minimum of those distances over P.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError, UsageError
-from .geometry import Coords, PlanarPoint, PointSet, linf_dist
+from .geometry import Coords, PlanarPoint, PointSet, Record, linf_dist
 from .rational import Scalar
 
 
-@dataclass(frozen=True)
-class Shell:
-    center: Coords
-    outer_radius: Scalar
-    inner_radius: Scalar
+class Shell(Record):
+    __slots__ = ("center", "outer_radius", "inner_radius")
 
-    def __post_init__(self):
-        if not (0 <= self.inner_radius <= self.outer_radius):
+    def __init__(self, center: Coords, outer_radius: Scalar,
+                 inner_radius: Scalar):
+        if not (0 <= inner_radius <= outer_radius):
             raise PreconditionError("shell radii must satisfy 0 <= inner <= outer")
+        self._fill(center, outer_radius, inner_radius)
 
     @property
     def width(self) -> Scalar:

@@ -17,20 +17,19 @@ then the farthest point from the low sites; d = 1 is closed form.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import compress, islice, repeat
 from math import floor
 from operator import itemgetter, sub
 
 from .errors import UnsupportedDimensionError, UsageError
-from .geometry import IntFrame, PlanarPoint, PointSet, int_frame, scaled_frame
+from .geometry import (IntFrame, PlanarPoint, PointSet, Record, int_frame,
+                       scaled_frame)
 from .rational import Scalar
 from .shell import Shell, lift
 from .squares import uncovered_scaled
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(Record):
     """Shell in original coordinates plus how it was found.
 
     inner_level is the normalized-frame inner radius (same value as
@@ -40,14 +39,17 @@ class SolveResult:
     scanned, in 1D the number of points.
     """
 
-    shell: Shell
-    inner_level: Scalar
-    case_tag: str
-    candidate_count: int
-    outer_contacts: tuple[int, ...]
-    inner_contacts: tuple[int, ...]
-    plateau_value: Scalar | None = None
-    voronoi_value: Scalar | None = None
+    __slots__ = ("shell", "inner_level", "case_tag", "candidate_count",
+                 "outer_contacts", "inner_contacts", "plateau_value",
+                 "voronoi_value")
+
+    def __init__(self, shell: Shell, inner_level: Scalar, case_tag: str,
+                 candidate_count: int, outer_contacts: tuple[int, ...],
+                 inner_contacts: tuple[int, ...],
+                 plateau_value: Scalar | None = None,
+                 voronoi_value: Scalar | None = None):
+        self._fill(shell, inner_level, case_tag, candidate_count, outer_contacts,
+                   inner_contacts, plateau_value, voronoi_value)
 
     @property
     def width(self) -> Scalar:

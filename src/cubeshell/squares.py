@@ -16,7 +16,6 @@ All sweep arithmetic runs on scaled integers; public results are rationals.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
 from operator import mul
@@ -26,28 +25,27 @@ from .geometry import (
     CenterDomain,
     PlanarPoint,
     PointSet,
+    Record,
     even_scale,
     scaled_frame,
 )
 from .rational import Scalar
 
 
-@dataclass(frozen=True)
-class Square:
+class Square(Record):
     """Axis-aligned square given by center and radius (half side)."""
 
-    center: PlanarPoint
-    radius: Scalar
+    __slots__ = ("center", "radius")
 
-    def __post_init__(self):
-        if len(self.center) != 2:
+    def __init__(self, center: PlanarPoint, radius: Scalar):
+        if len(center) != 2:
             raise PreconditionError("square center must be planar")
-        if self.radius <= 0:
+        if radius <= 0:
             raise PreconditionError("square radius must be positive")
+        self._fill(center, radius)
 
 
-@dataclass(frozen=True)
-class UnionBoundary:
+class UnionBoundary(Record):
     """Boundary of a union of equal closed squares.
 
     ``vertices`` are the points where the boundary turns or pinches;
@@ -55,10 +53,12 @@ class UnionBoundary:
     ``component_count`` counts connected components of the closed union.
     """
 
-    vertices: tuple[PlanarPoint, ...]
-    edges: tuple[tuple[PlanarPoint, PlanarPoint], ...]
-    component_count: int
-    area: Scalar
+    __slots__ = ("vertices", "edges", "component_count", "area")
+
+    def __init__(self, vertices: tuple[PlanarPoint, ...],
+                 edges: tuple[tuple[PlanarPoint, PlanarPoint], ...],
+                 component_count: int, area: Scalar):
+        self._fill(vertices, edges, component_count, area)
 
 
 def clip_ball(p, w: Scalar) -> Square | None:

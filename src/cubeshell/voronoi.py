@@ -18,49 +18,53 @@ the tie-break assignment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
 from .errors import PreconditionError, UsageError
-from .geometry import Box, CenterDomain, PlanarPoint
+from .geometry import Box, CenterDomain, PlanarPoint, Record
 from .rational import Scalar
 
 
-@dataclass(frozen=True)
-class Site:
+class Site(Record):
     """Distinct planar location with the indices of the points above it."""
 
-    location: PlanarPoint
-    source_indices: tuple[int, ...]
+    __slots__ = ("location", "source_indices")
+
+    def __init__(self, location: PlanarPoint, source_indices: tuple[int, ...]):
+        self._fill(location, source_indices)
 
 
-@dataclass(frozen=True)
-class VdVertex:
-    point: PlanarPoint
-    nearest: frozenset[int]
+class VdVertex(Record):
+    __slots__ = ("point", "nearest")
+
+    def __init__(self, point: PlanarPoint, nearest: frozenset[int]):
+        self._fill(point, nearest)
 
 
-@dataclass(frozen=True)
-class VdEdge:
+class VdEdge(Record):
     """Maximal polyline separating two cells; nearest holds that pair."""
 
-    chain: tuple[PlanarPoint, ...]
-    nearest: frozenset[int]
+    __slots__ = ("chain", "nearest")
+
+    def __init__(self, chain: tuple[PlanarPoint, ...], nearest: frozenset[int]):
+        self._fill(chain, nearest)
 
 
-@dataclass(frozen=True)
-class VdCell:
-    site_index: int
-    pieces: tuple[tuple[PlanarPoint, ...], ...]
+class VdCell(Record):
+    __slots__ = ("site_index", "pieces")
+
+    def __init__(self, site_index: int,
+                 pieces: tuple[tuple[PlanarPoint, ...], ...]):
+        self._fill(site_index, pieces)
 
 
-@dataclass(frozen=True)
-class VoronoiDiagram:
-    sites: tuple[Site, ...]
-    vertices: tuple[VdVertex, ...]
-    edges: tuple[VdEdge, ...]
-    cells: tuple[VdCell, ...]
+class VoronoiDiagram(Record):
+    __slots__ = ("sites", "vertices", "edges", "cells")
+
+    def __init__(self, sites: tuple[Site, ...], vertices: tuple[VdVertex, ...],
+                 edges: tuple[VdEdge, ...], cells: tuple[VdCell, ...]):
+        self._fill(sites, vertices, edges, cells)
 
     def as_dict(self) -> dict:
         def pt(p):

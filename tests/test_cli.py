@@ -339,7 +339,10 @@ class TestOtherCommands:
 
 
 class TestColdStart:
-    def test_solve_loads_only_the_solve_path(self, tmp_path):
+    @staticmethod
+    def solve_in_child(tmp_path, flags, modules):
+        """Exit code of a solve in a fresh interpreter started with flags,
+        and which of modules it loaded."""
         # 1,200 points: the first coverage sweep sees about 600 squares
         path = tmp_path / "points.txt"
         path.write_text(write_points(generate_points(1200, 3, "uniform", 5)))
@@ -347,17 +350,25 @@ class TestColdStart:
             "import json, sys\n"
             "import cubeshell.cli\n"
             f"code = cubeshell.cli.main(['solve', {str(path)!r}])\n"
-            "heavy = ['numpy', 'cubeshell.oracle', 'cubeshell.voronoi',\n"
-            "         'cubeshell.svgfig']\n"
-            "print(json.dumps([code, [m for m in heavy if m in sys.modules]]),\n"
-            "      file=sys.stderr)\n")
+            f"loaded = [m for m in {modules!r} if m in sys.modules]\n"
+            "print(json.dumps([code, loaded]), file=sys.stderr)\n")
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
+        proc = subprocess.run([sys.executable, *flags, "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["n"] == 1200
-        assert json.loads(proc.stderr.splitlines()[-1]) == [0, []]
+        return json.loads(proc.stderr.splitlines()[-1])
+
+    def test_solve_loads_only_the_solve_path(self, tmp_path):
+        heavy = ["numpy", "cubeshell.oracle", "cubeshell.voronoi",
+                 "cubeshell.svgfig", "dataclasses", "inspect", "ast", "dis"]
+        assert self.solve_in_child(tmp_path, [], heavy) == [0, []]
+
+    def test_solve_loads_no_typing_or_random(self, tmp_path):
+        # -S: no site-packages .pth file preloads modules before the package
+        loaded = self.solve_in_child(tmp_path, ["-S"], ["typing", "random"])
+        assert loaded == [0, []]
 
 
 class TestFigure:

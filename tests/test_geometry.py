@@ -1,3 +1,6 @@
+import copy
+import pickle
+from dataclasses import FrozenInstanceError, make_dataclass
 from fractions import Fraction
 
 import pytest
@@ -5,9 +8,14 @@ from hypothesis import given, strategies as st
 
 from conftest import CUBE8, pts, rand_points
 from cubeshell.errors import PreconditionError, UsageError
-from cubeshell.geometry import (Box, center_domain, is_smallest_enclosing_cube,
+from cubeshell.geometry import (Box, CenterDomain, IntFrame, Normalization,
+                                center_domain, is_smallest_enclosing_cube,
                                 linf_dist, normalize, point_set,
                                 smallest_enclosing_box)
+from cubeshell.shell import Shell
+from cubeshell.solver import SolveResult
+from cubeshell.squares import Square, UnionBoundary
+from cubeshell.voronoi import Site, VdCell, VdEdge, VdVertex, VoronoiDiagram
 
 coord = st.fractions(min_value=-50, max_value=50, max_denominator=16)
 triple = st.tuples(coord, coord, coord)
@@ -157,3 +165,156 @@ class TestIsSmallestEnclosingCube:
 def test_box_rejects_inverted_interval():
     with pytest.raises(PreconditionError):
         Box((Fraction(1),), (Fraction(0),))
+
+
+F = Fraction
+_BOX = Box((F(-1), F(0)), (F(1), F(1, 2)))
+_NRM = Normalization((1, 0), (F(0), F(-3, 4)))
+_SHELL = Shell((F(1), F(-2), F(0)), F(5), F(3, 2))
+_SITE = Site((F(0), F(1, 3)), (0, 4))
+_VERTEX = VdVertex((F(1), F(1)), frozenset({0, 1, 2}))
+_EDGE = VdEdge(((F(0), F(0)), (F(2), F(2))), frozenset({0, 1}))
+_CELL = VdCell(0, (((F(0), F(0)), (F(1), F(0)), (F(0), F(1))),))
+
+# each record, its field names, values for one instance of it, and
+# another value for its last field
+RECORDS = [
+    (Box, ("lo", "hi"), (_BOX.lo, _BOX.hi), (F(2), F(1))),
+    (Normalization, ("axis_order", "translation"),
+     (_NRM.axis_order, _NRM.translation), (F(0), F(0))),
+    (CenterDomain, ("half_side", "box", "degeneracy_rank"), (F(7, 2), _BOX, 0), 1),
+    (IntFrame, ("U", "cols", "nrm", "half", "box"),
+     (4, ((2, -6), (8, 0)), _NRM, 4, (-2, 2)), (-4, 4)),
+    (Shell, ("center", "outer_radius", "inner_radius"),
+     (_SHELL.center, F(5), F(3, 2)), F(1)),
+    (SolveResult, ("shell", "inner_level", "case_tag", "candidate_count",
+                   "outer_contacts", "inner_contacts", "plateau_value",
+                   "voronoi_value"),
+     (_SHELL, F(3, 2), "both", 3, (0, 2), (1,), F(3, 2), F(1, 2)), None),
+    (Square, ("center", "radius"), ((F(1, 2), F(-1)), F(3)), F(1)),
+    (UnionBoundary, ("vertices", "edges", "component_count", "area"),
+     (((F(0), F(0)), (F(2), F(0))), (((F(0), F(0)), (F(2), F(0))),), 1, F(4)),
+     F(5)),
+    (Site, ("location", "source_indices"), (_SITE.location, (0, 4)), (1,)),
+    (VdVertex, ("point", "nearest"), (_VERTEX.point, _VERTEX.nearest),
+     frozenset({0})),
+    (VdEdge, ("chain", "nearest"), (_EDGE.chain, _EDGE.nearest),
+     frozenset({1, 2})),
+    (VdCell, ("site_index", "pieces"), (0, _CELL.pieces), ()),
+    (VoronoiDiagram, ("sites", "vertices", "edges", "cells"),
+     ((_SITE,), (_VERTEX,), (_EDGE,), (_CELL,)), ()),
+]
+
+
+def _twin(cls, names):
+    """A frozen dataclass with the record's name and fields."""
+    fields = [(n, object) for n in names]
+    if cls is SolveResult:
+        fields[-2:] = [(n, object, None) for n in names[-2:]]
+    return make_dataclass(cls.__name__, fields, frozen=True)
+
+
+@pytest.mark.parametrize("cls, names, values, last", RECORDS,
+                         ids=[r[0].__name__ for r in RECORDS])
+class TestRecordParity:
+    """Each record behaves as its @dataclass(frozen=True) twin would."""
+
+    def test_repr_eq_hash(self, cls, names, values, last):
+        twin = _twin(cls, names)
+        rec, other = cls(*values), twin(*values)
+        assert repr(rec) == repr(other)
+        assert rec == cls(*values) and not rec != cls(*values)
+        assert hash(rec) == hash(other) == hash(values)
+        assert rec != other and other != rec
+        assert cls.__match_args__ == twin.__match_args__ == names
+        assert tuple(getattr(rec, n) for n in names) == values
+
+    def test_inequality(self, cls, names, values, last):
+        twin = _twin(cls, names)
+        changed = values[:-1] + (last,)
+        assert cls(*values) != cls(*changed)
+        assert twin(*values) != twin(*changed)
+        assert repr(cls(*changed)) == repr(twin(*changed))
+        assert hash(cls(*changed)) == hash(twin(*changed))
+
+    def test_construction(self, cls, names, values, last):
+        twin = _twin(cls, names)
+        by_name = dict(zip(names, values))
+        assert cls(**by_name) == cls(*values)
+        assert repr(cls(**by_name)) == repr(twin(**by_name))
+        mixed = cls(*values[:1], **dict(zip(names[1:], values[1:])))
+        assert mixed == cls(*values)
+
+    def test_bad_arguments(self, cls, names, values, last):
+        twin = _twin(cls, names)
+        required = 6 if cls is SolveResult else len(names)
+        for make in (cls, twin):
+            with pytest.raises(TypeError):
+                make(*values[:required - 1])
+            with pytest.raises(TypeError):
+                make(*values, bogus=1)
+            with pytest.raises(TypeError):
+                make(*values, **{names[0]: values[0]})
+            with pytest.raises(TypeError):
+                make(*values, None)
+
+    def test_frozen(self, cls, names, values, last):
+        rec, other = cls(*values), _twin(cls, names)(*values)
+        for obj in (rec, other):
+            for name in (names[0], names[-1], "extra"):
+                with pytest.raises(FrozenInstanceError) as got:
+                    setattr(obj, name, values[0])
+                assert isinstance(got.value, AttributeError)
+                assert str(got.value) == f"cannot assign to field {name!r}"
+            with pytest.raises(FrozenInstanceError) as got:
+                delattr(obj, names[0])
+            assert str(got.value) == f"cannot delete field {names[0]!r}"
+        assert rec == cls(*values)
+
+    def test_copy_pickle_and_match(self, cls, names, values, last):
+        rec = cls(*values)
+        for dup in (copy.copy(rec), copy.deepcopy(rec),
+                    pickle.loads(pickle.dumps(rec))):
+            assert dup == rec and type(dup) is cls
+        match rec:
+            case cls(first):
+                assert first == values[0]
+            case _:
+                pytest.fail("positional class pattern did not match")
+
+
+def test_solve_result_defaults():
+    cls, names, values, _ = next(r for r in RECORDS if r[0] is SolveResult)
+    twin = _twin(cls, names)
+    rec = cls(*values[:6])
+    assert rec.plateau_value is None and rec.voronoi_value is None
+    assert repr(rec) == repr(twin(*values[:6]))
+    late = cls(*values[:6], voronoi_value=F(1))
+    assert (late.plateau_value, late.voronoi_value) == (None, F(1))
+    assert repr(late) == repr(twin(*values[:6], voronoi_value=F(1)))
+
+
+def test_records_of_two_classes_differ_on_equal_fields():
+    values = ((F(0), F(0)), frozenset({1}))
+    twins = [_twin(r[0], r[1]) for r in RECORDS if r[0] in (VdVertex, VdEdge)]
+    assert twins[0](*values) != twins[1](*values)
+    assert VdVertex(*values) != VdEdge(*values)
+    assert Site(*values) != VdVertex(*values)
+
+
+def test_records_keep_their_preconditions():
+    origin = (F(0), F(0), F(0))
+    with pytest.raises(PreconditionError):
+        Box((F(0),), (F(0), F(1)))
+    with pytest.raises(PreconditionError):
+        Box((F(0), F(1)), (F(1), F(0)))
+    with pytest.raises(PreconditionError):
+        Shell(origin, F(1), F(2))
+    with pytest.raises(PreconditionError):
+        Shell(origin, F(1), F(-1))
+    with pytest.raises(PreconditionError):
+        Square(origin, F(1))
+    with pytest.raises(PreconditionError):
+        Square((F(0), F(0)), F(0))
+    with pytest.raises(PreconditionError):
+        Square((F(0), F(0)), radius=F(-1))
