@@ -19,8 +19,8 @@ from .shell import (Shell, best_shell_at, inner_radius_at, lift, lifted_dist,
                     planar_dist, shell_encloses)
 from .solver import (SolveResult, solve, solve1d, solve2d, solve3d,
                      solve_plateau_case, solve_voronoi_case)
-from .squares import (Square, UnionBoundary, clip_ball, decide,
-                      union_of_squares, uncovered_witness)
+from .squares import (Square, UnionBoundary, clip_ball, decide, union_at,
+                      union_of_squares)
 
 # Off the solve path (the oracle needs numpy): name -> defining submodule,
 # imported on first access.
@@ -48,8 +48,8 @@ __all__ = [
     "oracle_plateau_level", "oracle_voronoi_level", "parse_points",
     "parse_scalar", "planar_dist", "point_set", "shell_encloses",
     "smallest_enclosing_box", "solve", "solve1d", "solve2d", "solve3d",
-    "solve_plateau_case", "solve_voronoi_case", "uncovered_witness",
-    "union_area_brute", "union_of_squares", "union_vertices_brute",
+    "solve_plateau_case", "solve_voronoi_case", "union_area_brute",
+    "union_at", "union_of_squares", "union_vertices_brute",
     "vd_candidate_oracle", "vd_candidates_in_rect", "write_points",
 ]
 

@@ -9,6 +9,8 @@ usage errors.
 The oracle, diagram and figure modules are imported by the subcommands
 that use them, so ``solve`` loads neither them nor numpy; its records
 are built on ``geometry.Record``, so it loads no ``dataclasses`` either.
+``decide`` and ``union`` run on the normalized set's integer frame, as
+``solve`` does, and make no Fraction per point.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .pointio import (DISTRIBUTIONS, generate_points, load_points,
 from .rational import Scalar, format_decimal, format_ratio, parse_scalar
 from .shell import lift, lifted_dist, planar_dist
 from .solver import SolveResult, solve
-from .squares import clip_ball, decide, union_of_squares
+from .squares import decide, union_at
 
 PROG = "cubeshell"
 
@@ -127,11 +129,10 @@ def cmd_union(args) -> int:
     if level < 0:
         raise UsageError("level must be nonnegative")
     psn, _ = normalize(ps)
-    squares = [s for s in (clip_ball(p, level) for p in psn) if s is not None]
-    ub = union_of_squares(squares)
+    count, ub = union_at(psn, level)
     places = args.precision
     payload = {
-        "square_count": len(squares),
+        "square_count": count,
         "component_count": ub.component_count,
         "vertex_count": len(ub.vertices),
     }
@@ -140,7 +141,7 @@ def cmd_union(args) -> int:
     payload["edges"] = [[[format_ratio(c) for c in e[0]],
                          [format_ratio(c) for c in e[1]]] for e in ub.edges]
     _emit(payload)
-    return 0 if squares else 1
+    return 0 if count else 1
 
 
 def cmd_oracle(args) -> int:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from itertools import chain, product, repeat
+from itertools import product, repeat
 from math import lcm
 from operator import mul, sub
 
@@ -81,12 +81,15 @@ def as_point(values: Iterable) -> Coords:
 class PointSet:
     """An ordered, nonempty collection of points sharing one dimension.
 
-    A set made by ``from_ratios``, as the parser makes them, holds its
-    points as the integer frame's input instead: a scale U and one column
-    per axis of the coordinates times U. Its rows of Fractions are built
-    on the first access to ``points``, which a solve never makes (one from
-    ``normalize`` keeps its columns' extremes too). Either way the set is
-    immutable and compares and hashes by its points and dimension.
+    Every set holds its points as the integer frame's input: a scale U,
+    one column per axis of the coordinates times U, and the columns'
+    minima and maxima. ``from_ratios`` is the one place where rationals
+    become frame integers, and a set built from rows of rationals goes
+    through it too, keeping the rows only as the cache that ``points``
+    returns. A set the parser or ``normalize`` made builds those rows on
+    the first access to ``points``, which a solve never makes. Either way
+    the set is immutable and compares and hashes by its points and
+    dimension.
     """
 
     __match_args__ = ("points", "dimension")
@@ -99,9 +102,10 @@ class PointSet:
                 raise UsageError(
                     f"point {p} has dimension {len(p)}, expected {dimension}"
                 )
-        object.__setattr__(self, "_points", points)
-        object.__setattr__(self, "_scaled", None)
-        object.__setattr__(self, "dimension", dimension)
+        flat = [c for p in points for c in p]
+        scaled = self.from_ratios([c.numerator for c in flat],
+                                  [c.denominator for c in flat], dimension)
+        self._hold(*scaled._scaled, points)
 
     @classmethod
     def from_ratios(cls, nums: list[int], dens: list[int],
@@ -123,30 +127,32 @@ class PointSet:
         cols = tuple(tuple([p * mult[q] for p, q in zip(nums[i::dimension],
                                                         dens[i::dimension])])
                      for i in range(dimension))
-        return cls._scaled_by(U, cols)
+        return cls._scaled_by(U, cols, list(map(min, cols)),
+                              list(map(max, cols)))
 
     @classmethod
-    def _scaled_by(cls, U: int, cols, bounds=None) -> PointSet:
+    def _scaled_by(cls, U: int, cols, lo, hi) -> PointSet:
         """The points whose coordinates are the columns' integers over U;
-        cols is a tuple of tuples, and bounds their (minima, maxima) if known."""
+        cols is a tuple of tuples, and lo and hi their minima and maxima."""
         ps = cls.__new__(cls)
-        object.__setattr__(ps, "_points", None)
-        object.__setattr__(ps, "_scaled", (U, cols, bounds))
-        object.__setattr__(ps, "dimension", len(cols))
+        ps._hold(U, cols, lo, hi, None)
         return ps
+
+    def _hold(self, U, cols, lo, hi, points) -> None:
+        object.__setattr__(self, "_scaled", (U, cols, lo, hi))
+        object.__setattr__(self, "_points", points)
+        object.__setattr__(self, "dimension", len(cols))
 
     @property
     def points(self) -> tuple[Coords, ...]:
         if self._points is None:
-            U, cols, _ = self._scaled
+            U, cols, _, _ = self._scaled
             rows = tuple(zip(*[[Fraction(v, U) for v in col] for col in cols]))
             object.__setattr__(self, "_points", rows)
         return self._points
 
     def __len__(self) -> int:
-        if self._points is None:
-            return len(self._scaled[1][0])
-        return len(self._points)
+        return len(self._scaled[1][0])
 
     def __iter__(self) -> Iterator[Coords]:
         return iter(self.points)
@@ -260,12 +266,12 @@ def normalize(ps: PointSet) -> tuple[PointSet, Normalization]:
 
     Ties among longest sides go to the smallest axis index. The returned
     transform maps original points to normalized ones; ``invert`` undoes it.
-    The normalized set holds its frame: a scale U, twice the lcm of the
-    input denominators (doubled once more when the longest axis has an odd
-    midpoint, which centering would otherwise leave in odd coordinates),
-    its columns times U and their extremes, and Fraction rows only if read.
+    The normalized set holds its frame: the input's scale U (doubled when
+    the longest axis has an odd midpoint, which centering would otherwise
+    leave in odd coordinates), its columns times U and their extremes, and
+    Fraction rows only if read.
     """
-    U, cols, lo, hi = _scaled_columns(ps)
+    U, cols, lo, hi = ps._scaled
     sides = list(map(sub, hi, lo))
     longest = sides.index(max(sides))
     mid = (lo[longest] + hi[longest]) // 2
@@ -279,7 +285,7 @@ def normalize(ps: PointSet) -> tuple[PointSet, Normalization]:
     lo, hi = [lo[a] for a in order], [hi[a] for a in order]
     lo[-1], hi[-1] = lo[-1] - mid, hi[-1] - mid
     translation = (Fraction(0),) * (ps.dimension - 1) + (Fraction(-mid, U),)
-    return (PointSet._scaled_by(U, tuple(cols), (lo, hi)),
+    return (PointSet._scaled_by(U, tuple(cols), lo, hi),
             Normalization(order, translation))
 
 
@@ -304,11 +310,6 @@ def center_domain(psn: PointSet) -> CenterDomain:
     interval is nonempty because h is the longest box side.
     """
     return scaled_frame(psn).domain()
-
-
-def even_scale(values: Iterable[Scalar]) -> int:
-    """Twice the lcm of the denominators: each value times it is an even int."""
-    return 2 * lcm(*{v.denominator for v in values})
 
 
 class IntFrame(Record):
@@ -345,18 +346,6 @@ class IntFrame(Record):
         return CenterDomain(self.value(self.half), Box(lo, hi), rank)
 
 
-def _scaled_columns(ps: PointSet):
-    """U, the columns times U as tuples, and the columns' minima and maxima."""
-    if ps._scaled is not None:
-        U, cols, bounds = ps._scaled
-    else:
-        U, bounds = even_scale(chain.from_iterable(ps)), None
-        cols = tuple(tuple([c.numerator * (U // c.denominator) for c in col])
-                     for col in zip(*ps))
-    lo, hi = bounds or (list(map(min, cols)), list(map(max, cols)))
-    return U, cols, lo, hi
-
-
 def _frame(U, cols, lo, hi, nrm) -> IntFrame:
     # per axis i < d the center interval is [max_i - h/2, min_i + h/2]
     half = max(map(sub, hi, lo)) // 2
@@ -367,18 +356,14 @@ def _frame(U, cols, lo, hi, nrm) -> IntFrame:
 def int_frame(ps: PointSet) -> IntFrame:
     """The frame of ps normalized: ``normalize``'s columns, extremes and map."""
     psn, nrm = normalize(ps)
-    return _frame(*_scaled_columns(psn), nrm)
+    return _frame(*psn._scaled, nrm)
 
 
 def scaled_frame(psn: PointSet) -> IntFrame:
-    """The frame of a point set taken as already normalized.
-
-    A set that ``normalize`` or the parser made holds its U and columns,
-    and the frame reuses them (and ``normalize``'s column extremes); a set
-    of Fraction rows is scaled by twice the lcm of its denominators.
-    """
+    """The frame of a point set taken as already normalized: its own U,
+    columns and their extremes, under the identity map."""
     d = psn.dimension
-    return _frame(*_scaled_columns(psn),
+    return _frame(*psn._scaled,
                   Normalization(tuple(range(d)), (Fraction(0),) * d))
 
 

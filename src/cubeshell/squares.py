@@ -10,7 +10,10 @@ at either end and update it per square: the coverage sweep counts the
 gaps of at least 2w, and the boundary sweep toggles the piece of the gap
 that each entering or leaving square covers or uncovers.
 
-All sweep arithmetic runs on scaled integers; public results are rationals.
+All sweep arithmetic runs on integers: ``_clip_at`` cuts the squares from
+a point set's frame columns, scaled once more by the radius's
+denominator, so nothing here rescales on its own. Public results are
+rationals.
 """
 
 from __future__ import annotations
@@ -21,14 +24,7 @@ from itertools import compress, repeat
 from operator import mul
 
 from .errors import PreconditionError, UsageError
-from .geometry import (
-    CenterDomain,
-    PlanarPoint,
-    PointSet,
-    Record,
-    even_scale,
-    scaled_frame,
-)
+from .geometry import PlanarPoint, PointSet, Record, point_set, scaled_frame
 from .rational import Scalar
 
 
@@ -159,19 +155,32 @@ def _component_count(sq, w) -> int:
     return sum(1 for c in cells if find(c) == c)
 
 
-def union_of_squares(squares) -> UnionBoundary:
-    """Boundary of the union of equal closed squares."""
-    squares = list(squares)
-    if not squares:
-        return UnionBoundary((), (), 0, Fraction(0))
-    radius = squares[0].radius
-    if any(s.radius != radius for s in squares):
-        raise PreconditionError("union requires equal radii")
-    centers = {(Fraction(s.center[0]), Fraction(s.center[1])) for s in squares}
-    U = even_scale([radius, *(v for c in centers for v in c)])
-    sq = [(int(x * U), int(y * U)) for x, y in centers]
-    w = int(Fraction(radius) * U)
+def _clip_at(ps: PointSet, r: Scalar):
+    """The squares that the points with |z| < r cut from z = 0, on integers.
 
+    Scaled by k, the denominator of r, past the set's frame, r is a frame
+    integer w too. Returns the centers' x's and y's, w and their scale U*k.
+    """
+    if r < 0:
+        raise UsageError("radius must be nonnegative")
+    if ps.dimension != 3:
+        raise UsageError("squares are cut from points of dimension 3")
+    r = Fraction(r)
+    U, (X, Y, Z), _, _ = ps._scaled
+    k, w = r.denominator, r.numerator * U
+    active = list(map(w.__gt__, map(mul, map(abs, Z), repeat(k))))
+    cxs = list(map(mul, compress(X, active), repeat(k)))
+    cys = list(map(mul, compress(Y, active), repeat(k)))
+    return cxs, cys, w, U * k
+
+
+def union_at(ps: PointSet, r: Scalar) -> tuple[int, UnionBoundary]:
+    """The squares that ``clip_ball`` cuts from the points of ps at radius r:
+    their number, duplicates included, and the boundary of their union."""
+    cxs, cys, w, U = _clip_at(ps, r)
+    sq = list(set(zip(cxs, cys)))
+    if not sq:
+        return 0, UnionBoundary((), (), 0, Fraction(0))
     v_runs, area = _axis_runs(sq, w)
     h_runs, _ = _axis_runs([(cy, cx) for cx, cy in sq], w)
 
@@ -181,12 +190,24 @@ def union_of_squares(squares) -> UnionBoundary:
     edges = [(pt(x, y0), pt(x, y1)) for x, y0, y1 in v_runs]
     edges += [(pt(x0, y), pt(x1, y)) for y, x0, x1 in h_runs]
     vertices = {v for e in edges for v in e}
-    return UnionBoundary(
+    return len(cxs), UnionBoundary(
         tuple(sorted(vertices)),
         tuple(sorted(edges)),
         _component_count(sq, w),
         Fraction(area, U * U),
     )
+
+
+def union_of_squares(squares) -> UnionBoundary:
+    """Boundary of the union of equal closed squares."""
+    squares = list(squares)
+    if not squares:
+        return UnionBoundary((), (), 0, Fraction(0))
+    radius = squares[0].radius
+    if any(s.radius != radius for s in squares):
+        raise PreconditionError("union requires equal radii")
+    # each square is the cut of the ball around its center at height 0
+    return union_at(point_set((*s.center, 0) for s in squares), radius)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -299,45 +320,14 @@ def decide(ps: PointSet, r: Scalar) -> tuple[bool, PlanarPoint | None]:
     True means a shell of inner radius r (width half-side minus r) exists;
     the witness center then satisfies the bound exactly.
     """
-    if r < 0:
-        raise UsageError("decision radius must be nonnegative")
-    if ps.dimension != 3:
-        raise UsageError("decide expects dimension 3")
-    r = Fraction(r)
+    cxs, cys, w, scale = _clip_at(ps, r)
     fr = scaled_frame(ps)
-    X, Y, Z = fr.cols
     # normalized: the heights span the longest side, centered at 0
+    Z = fr.cols[-1]
     if min(Z) != -fr.half or max(Z) != fr.half:
         raise PreconditionError("point set is not normalized")
-    # scaled by k more, r is a frame integer too
-    k, w = r.denominator, r.numerator * fr.U
-    active = list(map(w.__gt__, map(mul, map(abs, Z), repeat(k))))
-    cxs = list(map(mul, compress(X, active), repeat(k)))
-    cys = list(map(mul, compress(Y, active), repeat(k)))
+    k = scale // fr.U
     hit = uncovered_scaled(cxs, cys, w, tuple(v * k for v in fr.box))
     if hit is None:
         return (False, None)
-    return (True, (Fraction(hit[0], fr.U * k), Fraction(hit[1], fr.U * k)))
-
-
-def uncovered_witness(dom: CenterDomain, squares, w: Scalar) -> PlanarPoint | None:
-    """Center in the domain outside every open square, if one exists.
-
-    Scales the box, the square centers and w to even integers by one
-    factor and runs the exact strip sweep; the uncovered set can have
-    measure zero, which the sweep still sees.
-    """
-    squares = list(squares)
-    box = dom.box
-    U = even_scale([w, *box.lo, *box.hi, *(v for s in squares for v in s.center)])
-
-    def scaled(v) -> int:
-        return v.numerator * (U // v.denominator)
-
-    hit = uncovered_scaled([scaled(s.center[0]) for s in squares],
-                           [scaled(s.center[1]) for s in squares], scaled(w),
-                           (scaled(box.lo[0]), scaled(box.hi[0]),
-                            scaled(box.lo[1]), scaled(box.hi[1])))
-    if hit is None:
-        return None
-    return (Fraction(hit[0], U), Fraction(hit[1], U))
+    return (True, (Fraction(hit[0], scale), Fraction(hit[1], scale)))

@@ -19,10 +19,10 @@ the tie-break assignment.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 
 from .errors import PreconditionError, UsageError
-from .geometry import Box, CenterDomain, PlanarPoint, Record
+from .geometry import Box, CenterDomain, PlanarPoint, Record, point_set
 from .rational import Scalar
 
 
@@ -207,15 +207,11 @@ def _dist(a, b):
 
 class _Builder:
     def __init__(self, sites: list[Site], frame: Box | None):
-        locs = [s.location for s in sites]
-        dens = {Fraction(c).denominator for p in locs for c in p}
-        self.U = 16 * lcm(*dens)
-        self.pts = [(int(Fraction(p[0]) * self.U), int(Fraction(p[1]) * self.U))
-                    for p in locs]
-        xs = [p[0] for p in self.pts]
-        ys = [p[1] for p in self.pts]
-        lo = min(min(xs), min(ys))
-        hi = max(max(xs), max(ys))
+        # the sites' frame scaled by 8 more keeps clip crossings integral
+        V, (xs, ys), los, his = point_set(s.location for s in sites)._scaled
+        self.U = 8 * V
+        self.pts = [(8 * x, 8 * y) for x, y in zip(xs, ys)]
+        lo, hi = 8 * min(los), 8 * max(his)
         span = max(hi - lo, 16)
         f0 = lo - 8 * span
         f1 = hi + 8 * span

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,10 +12,10 @@ import pytest
 from conftest import pts
 from cubeshell.cli import main
 from cubeshell.errors import EmptyInputError, UsageError
-from cubeshell.geometry import PointSet, center_domain, normalize
+from cubeshell.geometry import PointSet, center_domain, normalize, point_set
 from cubeshell.pointio import (generate_points, parse_points, write_points)
-from cubeshell.rational import parse_scalar
-from cubeshell.squares import decide
+from cubeshell.rational import format_decimal, format_ratio, parse_scalar
+from cubeshell.squares import clip_ball, decide, union_of_squares
 from cubeshell.svgfig import figure
 
 F = Fraction
@@ -308,6 +309,22 @@ class TestOtherCommands:
         assert code == 1
         assert json.loads(out)["square_count"] == 0
 
+    @pytest.mark.parametrize("level", ["10", "1/3", "0"])
+    def test_union_builds_no_fraction_rows(self, capsys, monkeypatch,
+                                           tmp_path, level):
+        # the squares are cut from the normalized set's integer columns
+        path = tmp_path / "p.txt"
+        path.write_text(write_points(generate_points(300, 3, "uniform", 6)))
+        args = ["union", "--level", level, str(path)]
+        want = run_cli(capsys, args)
+
+        def built(ps):
+            raise AssertionError("the parsed points were made Fractions")
+
+        monkeypatch.setattr(PointSet, "points", property(built))
+        assert run_cli(capsys, args) == want
+        assert want[0] == (1 if level == "0" else 0)
+
     def test_bench_table(self, capsys, monkeypatch):
         code, out, _ = run_cli(capsys, ["bench", "--sizes", "5,10"])
         assert code == 0
@@ -336,6 +353,47 @@ class TestOtherCommands:
     def test_missing_file_exits_2(self, capsys, monkeypatch):
         code, _, err = run_cli(capsys, ["solve", "/nonexistent/points.txt"])
         assert code == 2 and "cannot read" in err
+
+
+def _union_reference(rows, level, places=6) -> dict:
+    """The union payload, from ``clip_ball`` squares of the normalized rows."""
+    psn, _ = normalize(point_set(rows))
+    squares = [s for s in (clip_ball(p, level) for p in psn) if s is not None]
+    ub = union_of_squares(squares)
+    return {
+        "square_count": len(squares),
+        "component_count": ub.component_count,
+        "vertex_count": len(ub.vertices),
+        "area": format_decimal(ub.area, places),
+        "area_exact": format_ratio(ub.area),
+        "vertices": [[format_ratio(c) for c in v] for v in ub.vertices],
+        "edges": [[[format_ratio(c) for c in a], [format_ratio(c) for c in b]]
+                  for a, b in ub.edges],
+    }
+
+
+class TestUnionCommand:
+    def test_matches_union_of_clipped_squares(self, capsys, tmp_path):
+        rng = random.Random(1207)
+        path = tmp_path / "p.txt"
+        codes = set()
+        for _ in range(500):
+            n = rng.randint(1, 24)
+            rows = [[F(rng.randint(-30 * q, 30 * q), q)
+                     for q in rng.choices((1, 2, 3, 5, 7, 12), k=3)]
+                    for _ in range(n)]
+            rows += rng.choices(rows, k=rng.randint(0, n))  # duplicates
+            rng.shuffle(rows)
+            level = rng.choice((F(0), F(1, 3), F(5, 7),
+                                F(rng.randint(1, 80), rng.choice((1, 2, 7)))))
+            path.write_text(write_points(point_set(rows)))
+            code, out, _ = run_cli(capsys, ["union", "--level", str(level),
+                                            str(path)])
+            want = _union_reference(rows, level)
+            assert json.loads(out) == want
+            assert code == (0 if want["square_count"] else 1)
+            codes.add(code)
+        assert codes == {0, 1}
 
 
 class TestColdStart:

@@ -9,9 +9,10 @@ from hypothesis import given, strategies as st
 from conftest import CUBE8, pts, rand_points
 from cubeshell.errors import PreconditionError, UsageError
 from cubeshell.geometry import (Box, CenterDomain, IntFrame, Normalization,
-                                center_domain, is_smallest_enclosing_cube,
-                                linf_dist, normalize, point_set,
-                                smallest_enclosing_box)
+                                PointSet, center_domain, int_frame,
+                                is_smallest_enclosing_cube, linf_dist,
+                                normalize, point_set, smallest_enclosing_box)
+from cubeshell.pointio import parse_points
 from cubeshell.shell import Shell
 from cubeshell.solver import SolveResult
 from cubeshell.squares import Square, UnionBoundary
@@ -63,6 +64,31 @@ class TestSmallestEnclosingBox:
     def test_empty_rejected(self):
         with pytest.raises(UsageError):
             point_set([])
+
+
+class TestPointSet:
+    def test_dimension_below_one_rejected(self):
+        for build in (lambda: point_set([[]]), lambda: point_set([[], []]),
+                      lambda: PointSet(((),), 0)):
+            with pytest.raises(UsageError):
+                build()
+
+    @pytest.mark.parametrize("source", ["parsed", "rows", "normalized"])
+    def test_copy_and_pickle(self, source):
+        text = ["1/3 2/4 -5", "0 7/6 1", "1/3 2/4 -5"]
+        ps = {"parsed": lambda: parse_points(text),
+              "rows": lambda: pts((F(1, 3), F(1, 2), -5), (0, F(7, 6), 1),
+                                  (F(1, 3), F(1, 2), -5)),
+              "normalized": lambda: normalize(parse_points(text))[0]}[source]()
+        copies = [pickle.loads(pickle.dumps(ps, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        copies += [copy.copy(ps), copy.deepcopy(ps)]
+        for twin in copies:
+            # the frame first, while a parsed set's rows are still unbuilt
+            assert int_frame(twin) == int_frame(ps)
+            assert twin == ps and hash(twin) == hash(ps)
+            assert len(twin) == len(ps) == 3 and twin.dimension == 3
+            assert twin.points == ps.points
 
 
 class TestNormalize:

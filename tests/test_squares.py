@@ -9,13 +9,13 @@ from hypothesis import given, strategies as st
 
 from conftest import CUBE8, pts, rand_points
 from cubeshell.errors import PreconditionError, UsageError
-from cubeshell.geometry import Box, CenterDomain, center_domain, normalize
+from cubeshell.geometry import center_domain, normalize
 from cubeshell.oracle import (exact_oracle_3d, union_area_brute,
                               union_vertices_brute)
 from cubeshell.shell import inner_radius_at
 from cubeshell.squares import (Square, _component_count, _prefilter,
-                               clip_ball, decide, uncovered_scaled,
-                               uncovered_witness, union_of_squares)
+                               clip_ball, decide, uncovered_scaled, union_at,
+                               union_of_squares)
 
 F = Fraction
 
@@ -125,6 +125,27 @@ class TestUnionOfSquares:
         assert timings[4_000] / timings[1_000] < 8
 
 
+class TestUnionAt:
+    def test_matches_clipped_squares(self, rng):
+        # normalized or not, with duplicate points and levels off the grid
+        for k in range(300):
+            ps = rand_points(rng, rng.randint(1, 20), span=20)
+            ps = pts(*ps, *rng.choices(ps.points, k=rng.randint(0, 5)))
+            if k % 2:
+                ps, _ = normalize(ps)
+            level = rng.choice((F(0), F(1, 3), F(5, 7),
+                                F(rng.randint(1, 60), rng.choice((1, 3)))))
+            squares = [s for s in (clip_ball(p, level) for p in ps) if s]
+            assert union_at(ps, level) == (len(squares),
+                                           union_of_squares(squares))
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(UsageError):
+            union_at(CUBE8, F(-1))
+        with pytest.raises(UsageError):
+            union_at(pts((0, 0), (1, 1)), F(1))
+
+
 def _perimeter_brute(sqs):
     """Union perimeter: unit cell sides between covered and uncovered cells,
     with every square scaled to integer corners."""
@@ -180,28 +201,16 @@ class TestComponentCount:
         assert ub.component_count == 2
 
 
-class TestUncoveredWitness:
-    def test_open_interior_misses_corner(self):
-        dom = CenterDomain(F(5), Box((F(0), F(0)), (F(2), F(2))), 0)
-        assert uncovered_witness(dom, [_sq(1, 1, 1)], F(1)) == (0, 0)
-
-    def test_point_domain_feasible(self):
-        dom = center_domain(CUBE8)
-        squares = [s for s in (clip_ball(p, F(1, 2)) for p in CUBE8) if s]
-        assert uncovered_witness(dom, squares, F(1, 2)) == (0, 0)
-
-    def test_point_domain_covered(self):
-        dom = center_domain(CUBE8)
-        squares = [s for s in (clip_ball(p, F(2)) for p in CUBE8) if s]
-        assert uncovered_witness(dom, squares, F(2)) is None
-
-
 class TestDecide:
     def test_cube_corners_at_level(self):
-        assert decide(CUBE8, F(1)) == (True, (0, 0))
+        # the domain is one point; below the heights no square is active
+        for level in (F(1, 2), F(1)):
+            assert decide(CUBE8, level) == (True, (0, 0))
 
     def test_cube_corners_above_level(self):
-        assert decide(CUBE8, F(3, 2)) == (False, None)
+        # every corner's square contains the one-point domain
+        for level in (F(3, 2), F(2)):
+            assert decide(CUBE8, level) == (False, None)
 
     def test_negative_level_rejected(self):
         with pytest.raises(UsageError):
@@ -253,6 +262,8 @@ class TestPrefilter:
         assert _prefilter([0], [0], 6, box) == ([], [], True)
         # squares that only touch the box from outside are dropped
         assert _prefilter([8, 0], [0, 6], 4, box) == ([], [], False)
+        # a square filling the box's open interior misses its corners
+        assert uncovered_scaled([2], [2], 2, (0, 4, 0, 4)) == (0, 0)
 
 
 class TestInt64Limit:
