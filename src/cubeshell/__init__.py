@@ -22,8 +22,8 @@ from .solver import (SolveResult, solve, solve1d, solve2d, solve3d,
 from .squares import (Square, UnionBoundary, clip_ball, decide, union_at,
                       union_of_squares)
 
-# Off the solve path (the oracle needs numpy): name -> defining submodule,
-# imported on first access.
+# Off the solve path, so importing the package does not pay for their
+# start-up: name -> defining submodule, imported on first access.
 _LAZY = {name: mod for mod, names in (
     ("oracle", ("CandidatePool", "candidate_pool", "exact_oracle_2d",
                 "exact_oracle_3d", "grid_oracle", "oracle_plateau_level",

@@ -7,8 +7,9 @@ under the same name with an "_exact" suffix. Exit codes: 0 on success,
 usage errors.
 
 The oracle, diagram and figure modules are imported by the subcommands
-that use them, so ``solve`` loads neither them nor numpy; its records
-are built on ``geometry.Record``, so it loads no ``dataclasses`` either.
+that use them, so ``solve`` does not load them; its records are built on
+``geometry.Record``, so it loads no ``dataclasses`` either. Nothing here
+needs a third-party package.
 ``decide`` and ``union`` run on the normalized set's integer frame, as
 ``solve`` does, and make no Fraction per point.
 """

@@ -7,8 +7,9 @@ evaluated at each. Deliberately shares nothing with the sweep or the
 Voronoi construction beyond the scalar/point primitives, so a bug there
 cannot hide here.
 
-Internally coordinates are scaled to integers; results convert back to
-exact rationals.
+Internally coordinates are scaled to integers, on a frame fine enough
+that every enumerated candidate is an integer point too; results convert
+back to exact rationals.
 """
 
 from __future__ import annotations
@@ -18,15 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-import numpy as np
-
 from .errors import PreconditionError, UsageError
-from .geometry import Box, CenterDomain, PlanarPoint, PointSet, center_domain, smallest_enclosing_box
+from .geometry import Box, PlanarPoint, PointSet, center_domain, smallest_enclosing_box
 from .rational import Scalar
 
 ORACLE_CAP_ENV = "CUBESHELL_ORACLE_MAX_N"
 _DEFAULT_CAP = 60
-_NP_LIMIT = 2**60
 
 TAG_TRIPLE = "tripleEquidistant"
 TAG_PAIR = "pairBisectorOnBoundary"
@@ -50,41 +48,39 @@ def _check_normalized_3d(psn: PointSet):
         raise PreconditionError("point set is not normalized")
 
 
-def _cap() -> int:
-    return int(os.environ.get(ORACLE_CAP_ENV, str(_DEFAULT_CAP)))
+def _check_cap(psn: PointSet):
+    raw = os.environ.get(ORACLE_CAP_ENV, str(_DEFAULT_CAP))
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise UsageError(f"{ORACLE_CAP_ENV} must be an integer, got {raw!r}") from None
+    if len(psn) > cap:
+        raise UsageError(f"oracle refuses n > {cap} (set {ORACLE_CAP_ENV} to raise)")
+
+
+def _frame_scale(values) -> int:
+    """16 times the lcm of the rationals' denominators: every value scales
+    to a multiple of 16, which keeps every candidate point integral."""
+    return 16 * lcm(*(v.denominator for v in values))
 
 
 class _Frame:
-    """Integer view of a normalized instance: coordinates times U."""
+    """Integer view of a normalized instance: coordinates times U.
+
+    ``pts`` holds (x, y, |z|) per point and ``box`` the center domain as
+    (X0, X1, Y0, Y1); ``sites`` are the distinct projections, sorted.
+    """
 
     def __init__(self, psn: PointSet):
-        dens = {c.denominator for p in psn for c in p}
-        self.U = 4 * lcm(*dens)
-        U = self.U
-        self.xs = [int(p[0] * U) for p in psn]
-        self.ys = [int(p[1] * U) for p in psn]
-        self.za = [abs(int(p[2] * U)) for p in psn]
-        dom = center_domain(psn)
-        self.X0 = int(dom.box.lo[0] * U)
-        self.X1 = int(dom.box.hi[0] * U)
-        self.Y0 = int(dom.box.lo[1] * U)
-        self.Y1 = int(dom.box.hi[1] * U)
-        self.half = int(dom.half_side * U)
-        # distinct projections with the largest |z| sharing each
-        proj: dict[tuple[int, int], int] = {}
-        for x, y, z in zip(self.xs, self.ys, self.za):
-            key = (x, y)
-            proj[key] = max(proj.get(key, 0), z)
-        self.sites = sorted(proj)
-        self.site_zmax = proj
-        self.np_ok = max(
-            (max(abs(v) for v in self.xs + self.ys) if self.xs else 0),
-            self.half,
-            abs(self.X0), abs(self.X1), abs(self.Y0), abs(self.Y1),
-        ) < _NP_LIMIT
+        U = self.U = _frame_scale(c for p in psn for c in p)
+        self.pts = [(int(x * U), int(y * U), abs(int(z * U))) for x, y, z in psn]
+        dom = center_domain(psn).box
+        self.box = (int(dom.lo[0] * U), int(dom.hi[0] * U),
+                    int(dom.lo[1] * U), int(dom.hi[1] * U))
+        self.sites = sorted({(x, y) for x, y, _ in self.pts})
 
-    def to_scalar(self, v: int | Fraction) -> Scalar:
-        return Fraction(v, 1) / self.U if isinstance(v, int) else v / self.U
+    def to_scalar(self, v: int) -> Scalar:
+        return Fraction(v, self.U)
 
     def point_out(self, q) -> PlanarPoint:
         return (self.to_scalar(q[0]), self.to_scalar(q[1]))
@@ -93,7 +89,8 @@ class _Frame:
 # ---------------------------------------------------------------------------
 # True bisector pieces of a projected site pair. Each piece is a parametric
 # run base + t*dir with dir components in {-1,0,1}, clipped to a box; all
-# arithmetic stays integral because the site coordinates are multiples of 4.
+# arithmetic stays integral because the site coordinates and the box are
+# multiples of 16, so every base and every clipped end is a multiple of 8.
 
 
 def _apply_ops(ops, pt):
@@ -200,35 +197,45 @@ def _pair_pieces(a, b, box):
     return out
 
 
-def _dist(q, s) -> Fraction:
+def _dist(q, s) -> int:
     return max(abs(q[0] - s[0]), abs(q[1] - s[1]))
+
+
+def _exact_div(num: int, den: int) -> int:
+    q, r = divmod(num, den)
+    assert r == 0, "frame too coarse: a root is not an integer point"
+    return q
 
 
 def _roots_on_segment(p0, p1, a, k):
     """Points on segment p0-p1 (within a bisector of pair containing a)
-    where the distance to k equals the distance to a. Exact."""
-    vx = p1[0] - p0[0]
-    vy = p1[1] - p0[1]
-    if vx == 0 and vy == 0:
-        q = (Fraction(p0[0]), Fraction(p0[1]))
-        return [q] if _dist(q, k) == _dist(q, a) else []
-    cuts = {Fraction(0), Fraction(1)}
+    where the distance to k equals the distance to a. Exact.
+
+    The segment is a bisector piece, p0 + t*d for integer t in [0, L] with
+    d in {-1,0,1}^2; its ends are multiples of 8 and the sites multiples of
+    16, so every regime cut and every root lies at an integer t.
+    """
+    L = _dist(p1, p0)
+    if L == 0:
+        return [p0] if _dist(p0, k) == _dist(p0, a) else []
+    dx = (p1[0] - p0[0]) // L
+    dy = (p1[1] - p0[1]) // L
+    cuts = {0, L}
     for s in (a, k):
         # regime switches of the piecewise-linear distance along the run
-        if vx != 0:
-            cuts.add(Fraction(s[0] - p0[0], vx))
-        if vy != 0:
-            cuts.add(Fraction(s[1] - p0[1], vy))
-        den = vx - vy
-        if den != 0:
-            cuts.add(Fraction((s[0] - p0[0]) - (s[1] - p0[1]), den))
-        den = vx + vy
-        if den != 0:
-            cuts.add(Fraction((s[0] - p0[0]) + (s[1] - p0[1]), den))
-    ts = sorted(t for t in cuts if 0 <= t <= 1)
+        ex, ey = s[0] - p0[0], s[1] - p0[1]
+        if dx != 0:
+            cuts.add(ex * dx)
+        if dy != 0:
+            cuts.add(ey * dy)
+        if dx - dy != 0:
+            cuts.add(_exact_div(ex - ey, dx - dy))
+        if dx + dy != 0:
+            cuts.add(_exact_div(ex + ey, dx + dy))
+    ts = sorted(t for t in cuts if 0 <= t <= L)
 
     def at(t):
-        return (p0[0] + t * vx, p0[1] + t * vy)
+        return (p0[0] + t * dx, p0[1] + t * dy)
 
     vals = [(t, _dist(at(t), k) - _dist(at(t), a)) for t in ts]
     roots = []
@@ -238,8 +245,7 @@ def _roots_on_segment(p0, p1, a, k):
         elif i + 1 < len(vals):
             t2, g2 = vals[i + 1]
             if (g < 0 < g2) or (g2 < 0 < g):
-                tr = t + (t2 - t) * g / (g - g2)
-                roots.append(at(tr))
+                roots.append(at(t + _exact_div((t2 - t) * g, g - g2)))
     return roots
 
 
@@ -254,90 +260,39 @@ def _on_border(q, box) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Envelope evaluation at pooled points (integer batches where safe).
+# Envelope evaluation and the per-level square-arrangement scan (the
+# case-(i) part of the search).
 
 
-def _phi_at(fr: _Frame, q) -> Fraction:
-    """Envelope value at a point given in frame units (ints or Fractions)."""
-    qx, qy = Fraction(q[0]), Fraction(q[1])
-    den = lcm(qx.denominator, qy.denominator)
-    nx, ny = int(qx * den), int(qy * den)
-    best = None
-    for x, y, z in zip(fr.xs, fr.ys, fr.za):
-        v = max(abs(x * den - nx), abs(y * den - ny), z * den)
-        if best is None or v < best:
-            best = v
-    return Fraction(best, den)
+def _phi_at(pts, q) -> int:
+    """Envelope value at integer point q over (x, y, |z|) triples."""
+    qx, qy = q
+    return min(max(abs(x - qx), abs(y - qy), z) for x, y, z in pts)
 
 
-def _phi_many(fr: _Frame, points) -> list[Fraction]:
-    def integral(v) -> bool:
-        return isinstance(v, int) or v.denominator == 1
-
-    if fr.np_ok and len(points) > 64:
-        ints = [(int(q[0]), int(q[1])) for q in points
-                if integral(q[0]) and integral(q[1])]
-        if len(ints) == len(points):
-            px = np.asarray(fr.xs, dtype=np.int64)
-            py = np.asarray(fr.ys, dtype=np.int64)
-            pz = np.asarray(fr.za, dtype=np.int64)
-            qx = np.asarray([q[0] for q in ints], dtype=np.int64)
-            qy = np.asarray([q[1] for q in ints], dtype=np.int64)
-            d = np.maximum(np.abs(qx[:, None] - px[None, :]),
-                           np.abs(qy[:, None] - py[None, :]))
-            vals = np.maximum(d, pz[None, :]).min(axis=1)
-            return [Fraction(int(v)) for v in vals]
-    return [_phi_at(fr, q) for q in points]
-
-
-# ---------------------------------------------------------------------------
-# Per-level square-arrangement scan (the case-(i) part of the search).
-
-
-def _level_scan(fr: _Frame, stop_below: Fraction | None):
+def _level_scan(fr: _Frame, stop_below: int | None):
     """Largest |z| level whose uncovered set within C is nonempty.
 
     Scans levels in descending order and returns (level, lex-min witness)
     in frame units, or None. ``stop_below`` prunes levels strictly smaller
     than an already-known envelope value.
     """
-    box = (fr.X0, fr.X1, fr.Y0, fr.Y1)
-    levels = sorted(set(fr.za), reverse=True)
-    for w in levels:
+    X0, X1, Y0, Y1 = fr.box
+    for w in sorted({z for _, _, z in fr.pts}, reverse=True):
         if stop_below is not None and w < stop_below:
             return None
-        squares = sorted({(x, y) for x, y, z in zip(fr.xs, fr.ys, fr.za) if z < w})
-        vs = sorted({v for v in (fr.X0, fr.X1,
-                                 *(sx - w for sx, _ in squares),
-                                 *(sx + w for sx, _ in squares))
-                     if fr.X0 <= v <= fr.X1})
-        hs = sorted({v for v in (fr.Y0, fr.Y1,
-                                 *(sy - w for _, sy in squares),
-                                 *(sy + w for _, sy in squares))
-                     if fr.Y0 <= v <= fr.Y1})
-        witness = None
-        if not squares:
-            witness = (fr.X0, fr.Y0)
-        elif fr.np_ok and w < _NP_LIMIT:
-            qx = np.asarray(vs, dtype=np.int64)
-            qy = np.asarray(hs, dtype=np.int64)
-            covered = np.zeros((len(vs), len(hs)), dtype=bool)
-            for sx, sy in squares:
-                covered |= (np.abs(qx - sx)[:, None] < w) & (np.abs(qy - sy)[None, :] < w)
-            free = np.argwhere(~covered)
-            if free.size:
-                i, j = free[0]
-                witness = (vs[int(i)], hs[int(j)])
-        else:
-            for qx_ in vs:
-                for qy_ in hs:
-                    if all(max(abs(qx_ - sx), abs(qy_ - sy)) >= w for sx, sy in squares):
-                        witness = (qx_, qy_)
-                        break
-                if witness:
-                    break
-        if witness is not None:
-            return (w, witness)
+        squares = {(x, y) for x, y, z in fr.pts if z < w}
+        vs = sorted({v for v in (X0, X1, *(sx + e for sx, _ in squares for e in (-w, w)))
+                     if X0 <= v <= X1})
+        hs = sorted({v for v in (Y0, Y1, *(sy + e for _, sy in squares for e in (-w, w)))
+                     if Y0 <= v <= Y1})
+        for qx in vs:
+            # squares whose open x-range holds qx; (qx, qy) is free iff
+            # none of them also holds qy in its open y-range
+            near = [sy for sx, sy in squares if abs(qx - sx) < w]
+            for qy in hs:
+                if all(abs(qy - sy) >= w for sy in near):
+                    return (w, (qx, qy))
     return None
 
 
@@ -345,14 +300,14 @@ def _level_scan(fr: _Frame, stop_below: Fraction | None):
 # Candidate pool and the oracle proper.
 
 
-def _structural_pool(sites, box):
+def _structural_pool(sites, box) -> dict[tuple[int, int], str]:
     """Corner, pair-bisector and triple-equidistant pool points (frame units).
 
     Returns a dict point -> tag; insertion order fixes the tag when a point
     belongs to several classes.
     """
     X0, X1, Y0, Y1 = box
-    pool: dict[tuple, str] = {}
+    pool: dict[tuple[int, int], str] = {}
     for cx in (X0, X1):
         for cy in (Y0, Y1):
             pool.setdefault((cx, cy), TAG_CORNER)
@@ -374,19 +329,17 @@ def _structural_pool(sites, box):
             c = sites[k]
             for p0, p1 in pcs:
                 for q in _roots_on_segment(p0, p1, a, c):
-                    key = (q[0], q[1])
-                    if _in_box(key, box):
-                        pool.setdefault(key, TAG_TRIPLE)
-    return pool, pieces_by_pair
+                    if _in_box(q, box):
+                        pool.setdefault(q, TAG_TRIPLE)
+    return pool
 
 
 def candidate_pool(psn: PointSet) -> CandidatePool:
     """All enumeration-class candidates, in exact original coordinates."""
     _check_normalized_3d(psn)
-    if len(psn) > _cap():
-        raise UsageError(f"oracle refuses n > {_cap()} (set {ORACLE_CAP_ENV} to raise)")
+    _check_cap(psn)
     fr = _Frame(psn)
-    pool, _ = _structural_pool(fr.sites, (fr.X0, fr.X1, fr.Y0, fr.Y1))
+    pool = _structural_pool(fr.sites, fr.box)
     level = _level_scan(fr, None)
     if level is not None:
         pool.setdefault(level[1], TAG_PLATEAU)
@@ -398,22 +351,16 @@ def exact_oracle_3d(psn: PointSet) -> tuple[Scalar, PlanarPoint]:
     """Ground-truth optimum: the largest envelope value over the center
     domain together with its lexicographically smallest attaining center."""
     _check_normalized_3d(psn)
-    if len(psn) > _cap():
-        raise UsageError(f"oracle refuses n > {_cap()} (set {ORACLE_CAP_ENV} to raise)")
+    _check_cap(psn)
     fr = _Frame(psn)
-    pool, _ = _structural_pool(fr.sites, (fr.X0, fr.X1, fr.Y0, fr.Y1))
-    points = sorted(pool)
-    values = _phi_many(fr, points)
-    best_v = None
-    best_q = None
-    for q, v in zip(points, values):
-        if best_v is None or v > best_v or (v == best_v and q < best_q):
-            best_v, best_q = v, q
+    values = {q: _phi_at(fr.pts, q) for q in _structural_pool(fr.sites, fr.box)}
+    best_v = max(values.values())
+    best_q = min(q for q, v in values.items() if v == best_v)
     level = _level_scan(fr, best_v)
     if level is not None:
         w, wit = level
-        if w > best_v or (w == best_v and tuple(wit) < tuple(best_q)):
-            best_v, best_q = Fraction(w), wit
+        if w > best_v or (w == best_v and wit < best_q):
+            best_v, best_q = w, wit
     return fr.to_scalar(best_v), fr.point_out(best_q)
 
 
@@ -443,17 +390,15 @@ def oracle_voronoi_level(psn: PointSet) -> tuple[Scalar, PlanarPoint] | None:
     lev = _level_scan(fr, None)
     if lev is None:
         return None
-    box = (fr.X0, fr.X1, fr.Y0, fr.Y1)
-    low = sorted({(x, y) for x, y, z in zip(fr.xs, fr.ys, fr.za)
-                  if z <= lev[0]})
-    pool, _ = _structural_pool(low, box)
+    low = sorted({(x, y) for x, y, z in fr.pts if z <= lev[0]})
+    pool = _structural_pool(low, fr.box)
     cands = []
     for q, tag in pool.items():
-        if tag == TAG_TRIPLE or tag == TAG_CORNER or _on_border(q, box):
+        if tag == TAG_TRIPLE or tag == TAG_CORNER or _on_border(q, fr.box):
             cands.append(q)
     best = None
     for q in sorted(cands):
-        d = min(max(abs(q[0] - sx), abs(q[1] - sy)) for sx, sy in low)
+        d = min(_dist(q, s) for s in low)
         if best is None or d > best[0]:
             best = (d, q)
     return fr.to_scalar(best[0]), fr.point_out(best[1])
@@ -465,12 +410,13 @@ def grid_oracle(psn: PointSet, resolution: int) -> Scalar:
     if resolution < 2:
         raise UsageError("grid resolution must be >= 2")
     fr = _Frame(psn)
+    X0, X1, Y0, Y1 = fr.box
+    # on a frame `steps` times finer every grid point is an integer
     steps = resolution - 1
-    xs = [fr.X0 + Fraction(k * (fr.X1 - fr.X0), steps) for k in range(resolution)]
-    ys = [fr.Y0 + Fraction(k * (fr.Y1 - fr.Y0), steps) for k in range(resolution)]
-    pts = [(x, y) for x in xs for y in ys]
-    vals = _phi_many(fr, pts)
-    return max(v for v in vals) / fr.U
+    pts = [(x * steps, y * steps, z * steps) for x, y, z in fr.pts]
+    best = max(_phi_at(pts, (X0 * steps + i * (X1 - X0), Y0 * steps + j * (Y1 - Y0)))
+               for i in range(resolution) for j in range(resolution))
+    return Fraction(best, steps * fr.U)
 
 
 # ---------------------------------------------------------------------------
@@ -492,25 +438,13 @@ def union_area_brute(squares) -> Scalar:
     sq = [(int(x * den), int(y * den), int(r * den)) for x, y, r in items]
     xs = sorted({x - r for x, _, r in sq} | {x + r for x, _, r in sq})
     ys = sorted({y - r for _, y, r in sq} | {y + r for _, y, r in sq})
-    if max(abs(v) for v in xs + ys) < _NP_LIMIT // 4:
-        cx = np.asarray([a + b for a, b in zip(xs, xs[1:])], dtype=np.int64)
-        cy = np.asarray([a + b for a, b in zip(ys, ys[1:])], dtype=np.int64)
-        wx = np.asarray([b - a for a, b in zip(xs, xs[1:])], dtype=object)
-        wy = np.asarray([b - a for a, b in zip(ys, ys[1:])], dtype=object)
-        covered = np.zeros((len(cx), len(cy)), dtype=bool)
-        for x, y, r in sq:
-            covered |= (np.abs(cx - 2 * x)[:, None] <= 2 * r) & (np.abs(cy - 2 * y)[None, :] <= 2 * r)
-        total = 0
-        ii, jj = np.nonzero(covered)
-        for i, j in zip(ii.tolist(), jj.tolist()):
-            total += int(wx[i]) * int(wy[j])
-        return Fraction(total, den * den)
     total = 0
-    for i in range(len(xs) - 1):
-        for j in range(len(ys) - 1):
-            mx2, my2 = xs[i] + xs[i + 1], ys[j] + ys[j + 1]
-            if any(abs(mx2 - 2 * x) <= 2 * r and abs(my2 - 2 * y) <= 2 * r for x, y, r in sq):
-                total += (xs[i + 1] - xs[i]) * (ys[j + 1] - ys[j])
+    for x0, x1 in zip(xs, xs[1:]):
+        # doubled y and r of the squares over this column's midpoint
+        col = [(2 * y, 2 * r) for x, y, r in sq if abs(x0 + x1 - 2 * x) <= 2 * r]
+        for y0, y1 in zip(ys, ys[1:]):
+            if any(abs(y0 + y1 - y2) <= r2 for y2, r2 in col):
+                total += (x1 - x0) * (y1 - y0)
     return Fraction(total, den * den)
 
 
@@ -588,19 +522,19 @@ def vd_candidate_oracle(locations, box: Box) -> frozenset:
     Matches the diagram-based candidate extraction on tie-free inputs.
     """
     locs = [(Fraction(p[0]), Fraction(p[1])) for p in locations]
-    den = lcm(*(v.denominator for p in locs for v in p))
-    U = 4 * den
+    edges = tuple(map(Fraction, (box.lo[0], box.hi[0], box.lo[1], box.hi[1])))
+    U = _frame_scale([*edges, *(v for p in locs for v in p)])
     sites = sorted({(int(x * U), int(y * U)) for x, y in locs})
-    bx = (int(box.lo[0] * U), int(box.hi[0] * U), int(box.lo[1] * U), int(box.hi[1] * U))
+    bx = tuple(int(v * U) for v in edges)
 
     def nearest_ok(q, members) -> bool:
-        d = min(max(abs(Fraction(q[0]) - sx), abs(Fraction(q[1]) - sy)) for sx, sy in sites)
-        return all(max(abs(Fraction(q[0]) - sx), abs(Fraction(q[1]) - sy)) == d for sx, sy in members)
+        d = min(_dist(q, s) for s in sites)
+        return all(_dist(q, s) == d for s in members)
 
-    out = set()
-    for cx in (bx[0], bx[1]):
-        for cy in (bx[2], bx[3]):
-            out.add((Fraction(cx, U), Fraction(cy, U)))
+    def out_point(q) -> PlanarPoint:
+        return (Fraction(q[0], U), Fraction(q[1], U))
+
+    out = {out_point((cx, cy)) for cx in bx[:2] for cy in bx[2:]}
     m = len(sites)
     for i in range(m):
         for j in range(i + 1, m):
@@ -608,13 +542,13 @@ def vd_candidate_oracle(locations, box: Box) -> frozenset:
             for p0, p1 in pcs:
                 for q in (p0, p1):
                     if _on_border(q, bx) and nearest_ok(q, (sites[i], sites[j])):
-                        out.add((Fraction(q[0], U), Fraction(q[1], U)))
+                        out.add(out_point(q))
                 for k in range(m):
                     if k in (i, j):
                         continue
                     for q in _roots_on_segment(p0, p1, sites[i], sites[k]):
                         if _in_box(q, bx) and nearest_ok(q, (sites[i], sites[j], sites[k])):
-                            out.add((Fraction(q[0]) / U, Fraction(q[1]) / U))
+                            out.add(out_point(q))
     return frozenset(out)
 
 
@@ -622,29 +556,21 @@ def exact_oracle_2d(psn: PointSet) -> tuple[Scalar, PlanarPoint]:
     """Breakpoint brute force for the planar problem (normalized input)."""
     if psn.dimension != 2:
         raise UsageError("this oracle handles dimension 2 only")
-    dens = {c.denominator for p in psn for c in p}
-    U = 2 * lcm(*dens)
+    # 4 * lcm: coordinates are even, so pair midpoints are integers
+    U = 4 * lcm(*{c.denominator for p in psn for c in p})
     xs = [int(p[0] * U) for p in psn]
     za = [abs(int(p[1] * U)) for p in psn]
-    dom = center_domain(psn)
-    A = int(dom.box.lo[0] * U)
-    B = int(dom.box.hi[0] * U)
+    dom = center_domain(psn).box
+    A = int(dom.lo[0] * U)
+    B = int(dom.hi[0] * U)
     cands = {A, B}
-    n = len(xs)
-    for i in range(n):
-        for j in range(n):
-            cands.add(xs[i] + za[j])
-            cands.add(xs[i] - za[j])
-            if (xs[i] + xs[j]) % 2 == 0:
-                cands.add((xs[i] + xs[j]) // 2)
-            else:
-                cands.add(Fraction(xs[i] + xs[j], 2))
-    best_v = None
-    best_c = None
-    for c in sorted(cands, key=lambda v: Fraction(v)):
-        if not A <= c <= B:
-            continue
-        v = min(max(abs(x - c), z) for x, z in zip(xs, za))
-        if best_v is None or v > best_v or (v == best_v and Fraction(c) < Fraction(best_c)):
-            best_v, best_c = v, c
-    return Fraction(best_v) / U, (Fraction(best_c) / U,)
+    for x in xs:
+        for x2, z in zip(xs, za):
+            cands.update((x + z, x - z, (x + x2) // 2))
+
+    def phi(c: int) -> int:
+        return min(max(abs(x - c), z) for x, z in zip(xs, za))
+
+    # max keeps the first maximum: the smallest attaining center
+    best_c = max(sorted(c for c in cands if A <= c <= B), key=phi)
+    return Fraction(phi(best_c), U), (Fraction(best_c, U),)

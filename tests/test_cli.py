@@ -261,6 +261,14 @@ class TestOracleCommand:
             assert (json.loads(sout)["width_exact"]
                     == json.loads(oout)["width_exact"])
 
+    def test_cap_must_be_an_integer(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "i.txt"
+        path.write_text(write_points(generate_points(12, 3, "uniform", 1)))
+        monkeypatch.setenv("CUBESHELL_ORACLE_MAX_N", "sixty")
+        code, out, err = run_cli(capsys, ["oracle", str(path)])
+        assert (code, out) == (2, "")
+        assert "CUBESHELL_ORACLE_MAX_N must be an integer" in err
+
 
 class TestOtherCommands:
     def test_gen_pipes_into_solve(self, capsys, monkeypatch, tmp_path):

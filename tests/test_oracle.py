@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CUBE8, pts, rand_points
+from conftest import CUBE8, pts, rand_fraction, rand_points
 from cubeshell.errors import UsageError
-from cubeshell.geometry import center_domain, normalize
-from cubeshell.oracle import (ORACLE_CAP_ENV, candidate_pool, exact_oracle_2d,
+from cubeshell.geometry import Box, center_domain, normalize
+from cubeshell.oracle import (ORACLE_CAP_ENV, _Frame, _dist, _pair_pieces,
+                              _roots_on_segment, _structural_pool,
+                              candidate_pool, exact_oracle_2d,
                               exact_oracle_3d, grid_oracle,
-                              oracle_plateau_level, oracle_voronoi_level)
+                              oracle_plateau_level, oracle_voronoi_level,
+                              vd_candidate_oracle)
 from cubeshell.shell import inner_radius_at
 from cubeshell.squares import decide
 
@@ -59,6 +62,12 @@ class TestExactOracle3d:
         monkeypatch.setenv(ORACLE_CAP_ENV, "12")
         rstar, _ = exact_oracle_3d(psn)
         assert rstar >= 0
+
+    def test_cap_must_be_an_integer(self, monkeypatch):
+        monkeypatch.setenv(ORACLE_CAP_ENV, "sixty")
+        for oracle in (exact_oracle_3d, candidate_pool):
+            with pytest.raises(UsageError, match=ORACLE_CAP_ENV):
+                oracle(CUBE8)
 
 
 class TestCandidatePool:
@@ -127,3 +136,61 @@ class TestExactOracle2d:
             value, c = exact_oracle_2d(psn)
             assert inner_radius_at(psn, c) == value
             assert center_domain(psn).box.contains(c)
+
+
+def _mixed_instances(rng, count):
+    """Normalized 3D instances with mixed denominators, n 3 to 16."""
+    for _ in range(count):
+        rows = [[rand_fraction(rng, rng.choice((3, 100)), dens=(1, 2, 3, 5, 7))
+                 for _ in range(3)] for _ in range(rng.randint(3, 16))]
+        yield normalize(pts(*rows))[0]
+
+
+def _is_int_pair(q) -> bool:
+    return len(q) == 2 and all(type(c) is int for c in q)
+
+
+class TestIntegerPath:
+    def test_pool_keys_are_integer_points(self, rng):
+        for psn in _mixed_instances(rng, 20):
+            fr = _Frame(psn)
+            pool = _structural_pool(fr.sites, fr.box)
+            assert pool and all(_is_int_pair(q) for q in pool)
+
+    def test_roots_are_integer_points(self, rng):
+        for psn in _mixed_instances(rng, 20):
+            fr = _Frame(psn)
+            sites = fr.sites
+            for i, a in enumerate(sites):
+                for b in sites[i + 1:]:
+                    for p0, p1 in _pair_pieces(a, b, fr.box):
+                        for k in sites:
+                            if k in (a, b):
+                                continue
+                            for q in _roots_on_segment(p0, p1, a, k):
+                                assert _is_int_pair(q)
+                                assert _dist(q, k) == _dist(q, a) == _dist(q, b)
+
+    def test_big_integers_scale_exactly(self, rng):
+        # far past 2**63: no fixed-width shortcut may change the answer
+        big = 2**61
+        for psn in _mixed_instances(rng, 8):
+            scaled = pts(*[[c * big for c in p] for p in psn])
+            value, (cx, cy) = exact_oracle_3d(psn)
+            assert exact_oracle_3d(scaled) == (value * big, (cx * big, cy * big))
+            level = oracle_plateau_level(psn)
+            got = oracle_plateau_level(scaled)
+            if level is None:
+                assert got is None
+            else:
+                w, (wx, wy) = level
+                assert got == (w * big, (wx * big, wy * big))
+
+
+class TestVdCandidateOracle:
+    def test_box_off_the_locations_frame(self):
+        # thirds are not on the locations' integer frame; corners stay exact
+        box = Box((F(1, 3), F(-1, 3)), (F(2), F(1, 3)))
+        got = vd_candidate_oracle([(0, 0), (4, 1)], box)
+        assert got == {(F(1, 3), F(-1, 3)), (F(1, 3), F(1, 3)),
+                       (F(2), F(-1, 3)), (F(2), F(1, 3))}

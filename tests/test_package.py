@@ -1,5 +1,9 @@
 import importlib
+import json
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,6 +11,7 @@ import pytest
 import cubeshell
 import cubeshell.oracle
 import cubeshell.voronoi
+from cubeshell.pointio import generate_points, write_points
 
 
 class TestLazySurface:
@@ -29,6 +34,30 @@ class TestLazySurface:
         with pytest.raises(AttributeError, match="no_such_name"):
             cubeshell.no_such_name
         assert not hasattr(cubeshell, "no_such_name")
+
+
+class TestNoThirdPartyRuntime:
+    def test_everything_runs_without_numpy(self, tmp_path):
+        files = []
+        for dim in (3, 2):
+            path = tmp_path / f"d{dim}.txt"
+            path.write_text(write_points(generate_points(14, dim, "uniform", 3)))
+            files.append(str(path))
+        script = (
+            "import json, sys\n"
+            "sys.modules['numpy'] = None  # any import of numpy now fails\n"
+            "import cubeshell\n"
+            "for name in cubeshell.__all__:\n"
+            "    getattr(cubeshell, name)\n"
+            "from cubeshell.cli import main\n"
+            f"codes = [main(['oracle', f]) for f in {files!r}]\n"
+            "print(json.dumps(codes), file=sys.stderr)\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stderr.splitlines()[-1]) == [0, 0]
 
 
 class TestBenchmarkSpans:
