@@ -201,13 +201,14 @@ def cmd_bench(args) -> int:
         raise UsageError("--sizes needs at least one integer")
     if min(sizes) < 1:
         raise UsageError("instance size must be at least 1")
-    print(f"{'n':>10}  {'dim':>3}  {'seconds':>9}  case")
+    print(f"{'n':>10}  {'dim':>3}  {'seconds':>9}  {'sweeps':>6}  case")
     for n in sizes:
         ps = generate_points(n, args.dim, args.dist, args.seed)
         t0 = time.perf_counter()
         res = solve(ps)
         dt = time.perf_counter() - t0
-        print(f"{n:>10}  {args.dim:>3}  {dt:>9.3f}  {res.case_tag}")
+        print(f"{n:>10}  {args.dim:>3}  {dt:>9.3f}  {res.candidate_count:>6}  "
+              f"{res.case_tag}")
     return 0
 
 

@@ -2,24 +2,25 @@
 
 Each solver normalizes and scales its input once, into an IntFrame, and
 works on its integers; values become rationals only in the result. The
-frame holds one column per axis, and every O(n) pass (the order by
-height, the low sites, the 2D narrowing and the contacts) runs column by
-column in C-level ``map``/``sorted``/``list.index`` calls. The
-d = 3 solver maximizes the inner radius over the center domain two ways,
-both driven by the one coverage sweep (``uncovered_scaled``): a binary
-search over the plateau levels, and a sorted-matrix search over the
-radii at which the low sites' squares can close the last gap, keeping
-whichever is larger. d = 2 runs the same two regimes on an interval: the
-binary search with a scan for the leftmost gap between open intervals,
-then the farthest point from the low sites; d = 1 is closed form.
+frame holds one column per axis, and the O(n) passes (the order by
+height, the low sites, the 2D narrowing) run column by column in C-level
+``map``/``sorted`` calls; the contacts come from ``tuple.index`` scans.
+The d = 3 solver maximizes the inner radius over the center domain two
+ways, both driven by the one coverage sweep (``uncovered_scaled``): a
+binary search over the plateau levels, and a sorted-matrix search over
+the low sites' critical radii (half a gap between two sites on one axis,
+or a site's distance to a box side), keeping whichever is larger. d = 2
+runs the same two regimes on an interval: the binary search with a scan
+for the leftmost gap between open intervals, then the farthest point
+from the low sites; d = 1 is closed form.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import compress, islice, repeat
+from itertools import compress, islice
 from math import floor
-from operator import itemgetter, sub
+from operator import itemgetter
 
 from .errors import UnsupportedDimensionError, UsageError
 from .geometry import (IntFrame, PlanarPoint, PointSet, Record, int_frame,
@@ -35,8 +36,9 @@ class SolveResult(Record):
     inner_level is the normalized-frame inner radius (same value as
     shell.inner_radius); contacts index into the input point order.
     candidate_count is the work of the last stage: in 3D the coverage
-    sweeps of the diagram-regime search, in 2D the low-site candidates
-    scanned, in 1D the number of points.
+    sweeps that the diagram-regime search ran over the critical radii,
+    O(log m) for m low sites; in 2D the low-site candidates scanned; in
+    1D the number of points.
     """
 
     __slots__ = ("shell", "inner_level", "case_tag", "candidate_count",
@@ -117,14 +119,15 @@ def solve_voronoi_case(psn: PointSet | IntFrame, level: Scalar | None = None):
     no level given, every point counts as low; the result is then still
     a valid lower bound on the optimum.
 
-    Coverage changes only where two square sides, or a side and a box
-    side, meet, so the answer is half a difference within the sorted
-    site x's together with their reflections in X0 and X1, or within the
-    same list for y. These half differences form sorted matrices, which
-    a Frederickson-Johnson style selection searches without listing
-    them: each round tests the weighted median of the row medians of the
-    remaining entries with one sweep, which drops at least a quarter of
-    them, so O(log m) sweeps suffice for m sites.
+    At the optimum some axis pins the center from both sides, by two
+    sites or by a site and the far box side; else moving it away from
+    its nearest sites would raise all their distances. So r is half the
+    gap between two site coordinates on one axis, or a site's distance
+    X1 - x (x <= X1) or x - X0 (x >= X0) to a box side. Per axis, these
+    form a sorted matrix and one sorted row. A Frederickson-Johnson style
+    selection tests the weighted median of the remaining rows' medians
+    with one sweep per round, dropping at least a quarter of the
+    entries, so O(log m) sweeps suffice for m sites.
     """
     fr = _frame_of(psn)
     X, Y, Z = fr.cols
@@ -139,18 +142,19 @@ def solve_voronoi_case(psn: PointSet | IntFrame, level: Scalar | None = None):
     cx, cy = (X0 + X1) // 2, (Y0 + Y1) // 2
     d_mid = min(max(abs(x - cx), abs(y - cy)) for x, y in low)
     cutoff = d_mid + max(X1 - X0, Y1 - Y0)
-    sites = [(x, y) for x, y in low
-             if max(X0 - x, x - X1, Y0 - y, y - Y1) <= cutoff]
-    xs = [x for x, _ in sites]
-    ys = [y for _, y in sites]
+    sites = sorted((x, y) for x, y in low  # by x: the sweeps' sorts are linear
+                   if max(X0 - x, x - X1, Y0 - y, y - Y1) <= cutoff)
+    xs, ys = zip(*sites)
 
-    # Row i of a matrix holds L[j] - L[i] for j past i, twice a candidate;
-    # [a, b) is the part of the row strictly between 2*lo and 2*hi. Every
-    # value is even, so each candidate is an integer.
+    # Row i of an axis's matrix holds L[j] - L[i] for j past i, and row D
+    # the doubled side distances; [a, b) is the part of a row strictly
+    # between 2*lo and 2*hi. All are even, so each candidate is an integer.
     rows = []
     for coords, c0, c1 in ((xs, X0, X1), (ys, Y0, Y1)):
-        L = sorted({v for c in coords for v in (c, 2 * c0 - c, 2 * c1 - c)})
+        L = sorted(set(coords))
+        D = sorted({v for c in L for v in (2 * (c1 - c), 2 * (c - c0)) if v >= 0})
         rows += [[L, L[i], i + 1, len(L)] for i in range(len(L) - 1)]
+        rows.append([D, 0, 0, len(D)])
     lo, hit, sweeps = 0, None, 0
     while rows:
         meds = sorted((L[(a + b) // 2] - v, b - a) for L, v, a, b in rows)
@@ -171,38 +175,37 @@ def solve_voronoi_case(psn: PointSet | IntFrame, level: Scalar | None = None):
             for row in rows:
                 row[3] = bisect_left(row[0], row[1] + diff, row[2], row[3])
         rows = [row for row in rows if row[2] < row[3]]
-    if hit is None:
-        # no positive radius is feasible; at 0 no square covers anything
-        hit = uncovered_scaled(xs, ys, 0, fr.box)
-        sweeps += 1
+    # r* is itself a candidate, and feasible, so some sweep set hit
     return (fr.value(lo), (fr.value(hit[0]), fr.value(hit[1]))), sweeps
 
 
 def _contacts(fr: IntFrame, center_planar: PlanarPoint, rstar: Scalar):
     """Points on the outer and on the inner cube, found on integers.
 
-    The solvers' centers and r* are frame integers: every center is a
-    box corner, a sweep witness or a gap midpoint, and r* is the distance
-    from the center to some point. The distances are built column by
-    column, starting from the heights (the center lies in the plane
-    z = 0), and each radius is found in them by repeated ``list.index``.
+    The solvers' centers and r* are frame integers: a center is a box
+    corner, a sweep witness or a gap midpoint, r* a point's distance. A
+    point is at distance v from the center (c, 0) exactly when some offset
+    is +-v and none is larger, so scans of the columns for c +- v find it.
     """
-    *planar, heights = fr.cols
-    dist = map(abs, heights)
-    for col, v in zip(planar, center_planar):
-        dist = map(max, dist, map(abs, map(sub, col, repeat(int(v * fr.U)))))
-    dist = list(dist)
-    return _positions(dist, fr.half), _positions(dist, int(rstar * fr.U))
+    axes = list(zip(fr.cols, [int(c * fr.U) for c in center_planar] + [0]))
+
+    def at(v):
+        hits = {i for col, c in axes for t in {c - v, c + v}
+                for i in _positions(col, t)}
+        return tuple(sorted(i for i in hits if all(abs(col[i] - c) <= v
+                                                   for col, c in axes)))
+
+    return at(fr.half), at(int(rstar * fr.U))
 
 
-def _positions(values: list, v) -> tuple[int, ...]:
+def _positions(values, v) -> list[int]:
     """The indices at which v occurs in values, ascending."""
     out = [-1]
     try:
         while True:
             out.append(values.index(v, out[-1] + 1))
     except ValueError:
-        return tuple(out[1:])
+        return out[1:]
 
 
 def _finish(fr: IntFrame, center_planar: PlanarPoint, rstar: Scalar, tag: str,

@@ -21,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import compress, repeat
-from operator import mul
+from operator import itemgetter, mul
 
 from .errors import PreconditionError, UsageError
 from .geometry import PlanarPoint, PointSet, Record, point_set, scaled_frame
@@ -245,9 +245,6 @@ class _Column:
         self.bad += (hi - lo >= side) - (y - lo >= side) - (hi - y >= side)
         ys.pop(i)
 
-    def uncovered(self) -> bool:
-        return self.bad > 0
-
     def witness_y(self) -> int:
         """The bottom of the bottom gap, else of the top one, else of the
         lowest gap: a + w for the gap's lower center a."""
@@ -282,36 +279,36 @@ def _prefilter(cxs, cys, w, box):
 def uncovered_scaled(cxs, cys, w, box):
     """Leftmost point of box in no open square, or None. Integers throughout.
 
-    Coverage is checked only at the event x's, where a square enters or
-    leaves, and at the box's ends. The squares over a strip between two
-    events are those over its left end plus those entering there, so a
-    strip is uncovered only if its left end already is. The point
-    returned has the smallest such x, and at that x the y that
-    ``_Column.witness_y`` picks.
+    Coverage is checked only at the event x's and the box's ends: the
+    squares over a strip between two events are those over its left end
+    plus those entering there. The kept squares are sorted by x once, so the
+    entries at x - w and the exits at x + w come in that order and merge.
+    Each event is checked after its exits and before its entries; the
+    first uncovered one gives x, and ``_Column.witness_y`` gives y.
     """
     X0, X1, Y0, Y1 = box
     cxs, cys, covered_all = _prefilter(cxs, cys, w, box)
     if covered_all:
         return None
-    enters: dict[int, list[int]] = {}
-    exits: dict[int, list[int]] = {}
+    sq = sorted(zip(cxs, cys), key=itemgetter(0))
+    sq.append((X1 + w + 1, None))  # enters and leaves past X1
     col = _Column(w, Y0, Y1)
-    for x, y in zip(cxs, cys):
-        xl, xr = x - w, x + w
-        if xl < X0:
-            col.add(y)
-        elif xl < X1:
-            enters.setdefault(xl, []).append(y)
-        if X0 < xr <= X1:
-            exits.setdefault(xr, []).append(y)
-    for x in sorted({X0, X1} | set(enters) | set(exits)):
-        for y in exits.get(x, ()):
-            col.remove(y)
-        if col.uncovered():
+    i = bisect_left(sq, X0 + w, key=itemgetter(0))  # the next to enter
+    for _, y in sq[:i]:
+        col.add(y)
+    j, x = 0, X0  # the next square to leave, and the event
+    while True:
+        while sq[j][0] + w == x:
+            col.remove(sq[j][1])
+            j += 1
+        if col.bad:
             return (x, col.witness_y())
-        for y in enters.get(x, ()):
-            col.add(y)
-    return None
+        while sq[i][0] - w == x:
+            col.add(sq[i][1])
+            i += 1
+        if x == X1:
+            return None
+        x = min(sq[i][0] - w, sq[j][0] + w, X1)
 
 
 def decide(ps: PointSet, r: Scalar) -> tuple[bool, PlanarPoint | None]:

@@ -15,6 +15,7 @@ from cubeshell.errors import EmptyInputError, UsageError
 from cubeshell.geometry import PointSet, center_domain, normalize, point_set
 from cubeshell.pointio import (generate_points, parse_points, write_points)
 from cubeshell.rational import format_decimal, format_ratio, parse_scalar
+from cubeshell.solver import solve
 from cubeshell.squares import clip_ball, decide, union_of_squares
 from cubeshell.svgfig import figure
 
@@ -336,8 +337,14 @@ class TestOtherCommands:
     def test_bench_table(self, capsys, monkeypatch):
         code, out, _ = run_cli(capsys, ["bench", "--sizes", "5,10"])
         assert code == 0
-        rows = [ln for ln in out.splitlines() if ln.strip()]
+        rows = [ln.split() for ln in out.splitlines() if ln.strip()]
         assert len(rows) == 3  # header + one row per size
+        assert rows[0] == ["n", "dim", "seconds", "sweeps", "case"]
+        # the sweeps column is the solve's candidate_count
+        for (n, dim, _, sweeps, case), size in zip(rows[1:], (5, 10)):
+            res = solve(generate_points(size, 3, "uniform", 0))
+            assert (n, dim, case) == (str(size), "3", res.case_tag)
+            assert sweeps == str(res.candidate_count)
 
     def test_bench_bad_sizes_exits_2(self, capsys, monkeypatch):
         code, _, _ = run_cli(capsys, ["bench", "--sizes", "a,b"])

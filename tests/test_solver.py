@@ -1,7 +1,8 @@
 import random
 import time
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from math import log
+from math import floor, log
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,9 +14,11 @@ from cubeshell.geometry import (PointSet, center_domain, int_frame,
                                 normalize, smallest_enclosing_box)
 from cubeshell.oracle import (exact_oracle_2d, exact_oracle_3d,
                               oracle_plateau_level, oracle_voronoi_level)
+from cubeshell.pointio import generate_points
 from cubeshell.shell import inner_radius_at, lift, shell_encloses
 from cubeshell.solver import (_contacts, solve, solve1d, solve2d, solve3d,
                               solve_plateau_case, solve_voronoi_case)
+from cubeshell.squares import uncovered_scaled
 from cubeshell.voronoi import build_voronoi, make_sites, vd_candidates_in_rect
 
 F = Fraction
@@ -126,9 +129,44 @@ class TestVoronoiCase:
                    if fr.value(abs(p[2])) <= level]
             assert value == _diagram_value(low, fr.domain())
             assert min(linf_dist(center, s) for s in low) == value
-            # each sweep drops a quarter of the m(m - 1) candidates left
-            m = 3 * len(set(low))
-            assert sweeps <= log(m * (m - 1), 4 / 3) + 2
+            # each sweep drops a quarter of the candidates left: per axis,
+            # the m(m - 1)/2 site pairs and the distances to the box sides
+            box = fr.domain().box
+            count = 0
+            for a in (0, 1):
+                m = len({s[a] for s in low})
+                sides = {v for s in low
+                         for v in (box.hi[a] - s[a], s[a] - box.lo[a]) if v >= 0}
+                count += m * (m - 1) // 2 + len(sides)
+            assert sweeps <= log(count, 4 / 3) + 1
+
+    def test_matches_reflection_search(self, rng):
+        # the search over sites and their reflections in the box sides that
+        # this one replaced, kept as the reference for value and center
+        outside = zero_width = 0
+        for k in range(2400):
+            n = rng.randint(3, 20)
+            ps = (_mixed_points(rng, n, 3), _grid_points(rng, n),
+                  _dup_points(rng, n), _zero_width_points(rng, n),
+                  _slab_points(rng, n), rand_points(rng, n))[k % 6]
+            fr = int_frame(ps)
+            heights = sorted({abs(z) for z in fr.cols[2]})
+            level = (None, solve_plateau_case(fr)[0],
+                     fr.value(rng.choice(heights)))[k % 7 % 3]
+            got, _ = solve_voronoi_case(fr, level)
+            assert got == _reflection_search(fr, level)
+            X0, X1, Y0, Y1 = fr.box
+            top = heights[-1] if level is None else level * fr.U
+            outside += any(not (X0 <= x <= X1 and Y0 <= y <= Y1)
+                           for x, y, z in fr if abs(z) <= top)
+            zero_width += X0 == X1 or Y0 == Y1
+        assert outside >= 1000 and zero_width >= 400
+
+    def test_sweep_count_on_slabs(self):
+        # the search over reflected coordinates ran 170 sweeps here
+        total = sum(solve(generate_points(50, 3, "slab", s)).candidate_count
+                    for s in range(1, 17))
+        assert total < 170
 
 
 def _slab_points(rng, n):
@@ -140,6 +178,69 @@ def _slab_points(rng, n):
     rows = [planar() + [F(20)], planar() + [F(-20)]]
     rows += [planar() + [F(rng.randint(-2, 2), 16)] for _ in range(n - 2)]
     return pts(*rows)
+
+
+def _grid_points(rng, n):
+    return pts(*[[F(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(3)]
+                 for _ in range(n)])
+
+
+def _dup_points(rng, n):
+    """Repeated rows, and coincident planar sites at other heights."""
+    base = _slab_points(rng, n) if rng.random() < 0.5 else _grid_points(rng, n)
+    rows = list(base) + [(p[0], p[1], F(rng.randint(-2, 2), 16))
+                         for p in base.points[:rng.randint(1, n)]]
+    return pts(*(rows + rows[:rng.randint(1, n)]))
+
+
+def _zero_width_points(rng, n):
+    """x spans as far as z, so one axis of the center box is a segment."""
+    rows = [(F(-10), F(rng.randint(-5, 5)), F(-10)),
+            (F(10), F(rng.randint(-5, 5)), F(10))]
+    rows += [(F(rng.randint(-20, 20), 2), F(rng.randint(-10, 10), 2),
+              F(rng.randint(-4, 4), 4)) for _ in range(n - 2)]
+    return pts(*rows)
+
+
+def _reflection_search(fr, level):
+    """solve_voronoi_case's value and center, from a sorted-matrix search
+    over half the differences within each axis's site coordinates together
+    with their reflections in the box sides."""
+    X0, X1, Y0, Y1 = fr.box
+    top = max(map(abs, fr.cols[2])) if level is None else floor(level * fr.U)
+    low = {(x, y) for x, y, z in fr if abs(z) <= top}
+    cx, cy = (X0 + X1) // 2, (Y0 + Y1) // 2
+    cutoff = (min(max(abs(x - cx), abs(y - cy)) for x, y in low)
+              + max(X1 - X0, Y1 - Y0))
+    sites = [(x, y) for x, y in low
+             if max(X0 - x, x - X1, Y0 - y, y - Y1) <= cutoff]
+    xs = [x for x, _ in sites]
+    ys = [y for _, y in sites]
+    rows = []
+    for coords, c0, c1 in ((xs, X0, X1), (ys, Y0, Y1)):
+        L = sorted({v for c in coords for v in (c, 2 * c0 - c, 2 * c1 - c)})
+        rows += [[L, L[i], i + 1, len(L)] for i in range(len(L) - 1)]
+    lo, hit = 0, None
+    while rows:
+        meds = sorted((L[(a + b) // 2] - v, b - a) for L, v, a, b in rows)
+        total = sum(wt for _, wt in meds)
+        acc = 0
+        for diff, wt in meds:
+            acc += wt
+            if 2 * acc >= total:
+                break
+        got = uncovered_scaled(xs, ys, diff // 2, fr.box)
+        if got is not None:
+            lo, hit = diff // 2, got
+            for row in rows:
+                row[2] = bisect_right(row[0], row[1] + diff, row[2], row[3])
+        else:
+            for row in rows:
+                row[3] = bisect_left(row[0], row[1] + diff, row[2], row[3])
+        rows = [row for row in rows if row[2] < row[3]]
+    if hit is None:
+        hit = uncovered_scaled(xs, ys, 0, fr.box)
+    return fr.value(lo), (fr.value(hit[0]), fr.value(hit[1]))
 
 
 def _diagram_value(low, dom):
@@ -285,6 +386,50 @@ class TestContacts:
                 ps, sh.center, sh.outer_radius, sh.inner_radius)
             assert len(contacts[0]) + len(contacts[1]) >= n
         assert res.width == 0 and len(res.inner_contacts) == n
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_brute_force(self, rng, dim):
+        # coordinates in {-2..2}/2 and repeated rows: every distance is
+        # shared by many points, on both sides of the center on every axis
+        def surface():
+            row = [F(rng.randint(-2, 2), 2) for _ in range(dim)]
+            row[rng.randrange(dim)] = F(rng.choice((-1, 1)))
+            return row
+
+        kinds = set()
+        for k in range(200):
+            n = rng.randint(1, 14)
+            if k % 3 == 0:
+                # on the boundary of [-1, 1]^dim: a width-0 shell
+                rows = [[F(s)] + [F(0)] * (dim - 1) for s in (-1, 1)]
+                rows += [surface() for _ in range(n)]
+            else:
+                rows = [[F(rng.randint(-2, 2), 2) for _ in range(dim)]
+                        for _ in range(n)]
+            ps = pts(*(rows + rows[:rng.randint(0, len(rows))]))
+            res = solve(ps)
+            sh = res.shell
+            assert (res.outer_contacts, res.inner_contacts) == tuple(
+                _brute_at(ps, sh.center, v)
+                for v in (sh.outer_radius, sh.inner_radius))
+            kinds.add("width 0" if res.width == 0 else
+                      "r* = 0" if sh.inner_radius == 0 else "other")
+            # any center and radius, in the frame, at r = 0 too
+            fr = int_frame(ps)
+            centers = [p[:-1] for p in fr] + [fr.box[0::2], fr.box[1::2]]
+            rows = [tuple(map(fr.value, p)) for p in fr]
+            for c in rng.sample(centers, min(4, len(centers))):
+                c = tuple(map(fr.value, c))
+                for v in (0, fr.value(fr.half), abs(rng.choice(rows)[0])):
+                    assert _contacts(fr, c, v) == tuple(
+                        _brute_at(rows, c + (0,), u)
+                        for u in (fr.value(fr.half), v))
+        assert kinds == {"width 0", "r* = 0", "other"}
+
+
+def _brute_at(ps, center, v):
+    return tuple(i for i, p in enumerate(ps)
+                 if max(abs(a - b) for a, b in zip(p, center)) == v)
 
 
 class TestSolve2d:

@@ -13,7 +13,7 @@ from cubeshell.geometry import center_domain, normalize
 from cubeshell.oracle import (exact_oracle_3d, union_area_brute,
                               union_vertices_brute)
 from cubeshell.shell import inner_radius_at
-from cubeshell.squares import (Square, _component_count, _prefilter,
+from cubeshell.squares import (Square, _Column, _component_count, _prefilter,
                                clip_ball, decide, uncovered_scaled, union_at,
                                union_of_squares)
 
@@ -346,3 +346,69 @@ class TestSweepProperty:
             assert not any(abs(x - u) < w and abs(y - v) < w
                            for u, v in zip(xs, ys))
             assert x == min(a for a, _ in brute)
+
+
+def _dict_sweep(cxs, cys, w, box):
+    """The coverage sweep as it was before it sorted its squares: entering
+    and leaving ys in dicts keyed by event x, over the sorted key set."""
+    X0, X1, Y0, Y1 = box
+    cxs, cys, covered_all = _prefilter(cxs, cys, w, box)
+    if covered_all:
+        return None
+    enters, exits = {}, {}
+    col = _Column(w, Y0, Y1)
+    for x, y in zip(cxs, cys):
+        if x - w < X0:
+            col.add(y)
+        elif x - w < X1:
+            enters.setdefault(x - w, []).append(y)
+        if X0 < x + w <= X1:
+            exits.setdefault(x + w, []).append(y)
+    for x in sorted({X0, X1} | set(enters) | set(exits)):
+        for y in exits.get(x, ()):
+            col.remove(y)
+        if col.bad:
+            return (x, col.witness_y())
+        for y in enters.get(x, ()):
+            col.add(y)
+    return None
+
+
+class TestSweepOrder:
+    def test_any_order_gives_the_same_witness(self, rng):
+        seen = {"enter at X0": 0, "leave at X1": 0, "w = 0": 0, "none": 0}
+        for _ in range(2000):
+            span = rng.choice((3, 8, 20))
+            X0, Y0 = rng.randint(-span, span), rng.randint(-span, span)
+            X1 = X0 + rng.choice((0, rng.randint(0, span)))
+            Y1 = Y0 + rng.choice((0, rng.randint(0, span)))
+            w = 0 if rng.random() < 0.1 else rng.randint(1, span)
+            box = (X0, X1, Y0, Y1)
+            n = rng.randint(0, 10)
+            # squares with a side on the box's left or right side, or one
+            # unit inside it, among random ones
+            xs = [rng.choice((X0 + w, X1 - w, X0 - w + 1, X1 + w - 1,
+                              rng.randint(-2 * span, 2 * span)))
+                  for _ in range(n)]
+            ys = [rng.randint(-2 * span, 2 * span) for _ in range(n)]
+            want = uncovered_scaled(xs, ys, w, box)
+            assert want == _dict_sweep(xs, ys, w, box)
+            brute = _brute_uncovered(xs, ys, w, box)
+            if want is None:
+                assert not brute
+                seen["none"] += 1
+            else:
+                assert want in brute
+                assert want[0] == min(a for a, _ in brute)
+            pairs = list(zip(xs, ys))
+            dup = pairs + pairs[:rng.randint(0, n)]
+            rng.shuffle(dup)
+            for order in (pairs[::-1], rng.sample(pairs, n), dup):
+                got = uncovered_scaled([x for x, _ in order],
+                                       [y for _, y in order], w, box)
+                assert got == want
+            kept, _, _ = _prefilter(xs, ys, w, box)
+            seen["enter at X0"] += X0 + w in kept and want is not None
+            seen["leave at X1"] += X1 - w in kept and want is not None
+            seen["w = 0"] += w == 0
+        assert min(seen.values()) >= 100, seen
