@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import io
 from collections.abc import Iterable
-from fractions import Fraction
 
 from .errors import EmptyInputError, UsageError
-from .geometry import Coords, PointSet
+from .geometry import PointSet
 from .rational import parse_scalar
 
 
@@ -114,45 +113,46 @@ def write_points(ps: PointSet) -> str:
 
 # ---------------------------------------------------------------------------
 # Instance generation. Coordinates are rationals with small denominators in
-# [-100, 100]; the same seed always yields the same file.
+# [-100, 100]; the same seed always yields the same file. Each generator
+# returns the numerators and denominators row by row, which
+# ``PointSet.from_ratios`` takes as they are, so no Fraction is made.
 
 _SPAN = 100
 
 
-def _uniform(rng: random.Random, dim: int, n: int) -> list[Coords]:
-    return [tuple(Fraction(rng.randint(-8 * _SPAN, 8 * _SPAN), 8)
-                  for _ in range(dim))
-            for _ in range(n)]
+def _uniform(rng: random.Random, dim: int, n: int):
+    nums = [rng.randint(-8 * _SPAN, 8 * _SPAN) for _ in range(n * dim)]
+    return nums, [8] * len(nums)
 
 
-def _clustered(rng: random.Random, dim: int, n: int) -> list[Coords]:
+def _clustered(rng: random.Random, dim: int, n: int):
+    """Points k/16 with |k| <= 80 off about sqrt(n) integer hubs."""
     hubs = max(1, round(n ** 0.5))
-    centers = [tuple(Fraction(rng.randint(-(_SPAN - 10), _SPAN - 10))
-                     for _ in range(dim))
+    centers = [[16 * rng.randint(-(_SPAN - 10), _SPAN - 10) for _ in range(dim)]
                for _ in range(hubs)]
-    pts: list[Coords] = []
+    nums: list[int] = []
     for _ in range(n):
         base = centers[rng.randrange(hubs)]
-        pts.append(tuple(b + Fraction(rng.randint(-80, 80), 16) for b in base))
-    return pts
+        nums += [b + rng.randint(-80, 80) for b in base]
+    return nums, [16] * len(nums)
 
 
-def _slab(rng: random.Random, dim: int, n: int) -> list[Coords]:
+def _slab(rng: random.Random, dim: int, n: int):
     """A flat slab: two points pin the last axis at +-100, the rest are low.
 
     The other coordinates are k/8 in [-50, 50] and the low heights k/16
     with |k| <= 2, so in 3D nearly every point is a site of the diagram
-    regime. Same seed, same points as the benchmark's slab family.
+    regime. Same seed, same points as the benchmark's slab family. Every
+    row is held in sixteenths.
     """
     def planar():
-        return tuple(Fraction(rng.randint(-4 * _SPAN, 4 * _SPAN), 8)
-                     for _ in range(dim - 1))
+        return [2 * rng.randint(-4 * _SPAN, 4 * _SPAN) for _ in range(dim - 1)]
 
-    pts = [planar() + (Fraction(_SPAN),), planar() + (Fraction(-_SPAN),)]
-    pts += [planar() + (Fraction(rng.randint(-2, 2), 16),)
-            for _ in range(n - 2)]
-    rng.shuffle(pts)
-    return pts[:n]
+    rows = [planar() + [16 * _SPAN], planar() + [-16 * _SPAN]]
+    rows += [planar() + [rng.randint(-2, 2)] for _ in range(n - 2)]
+    rng.shuffle(rows)
+    nums = [v for row in rows[:n] for v in row]
+    return nums, [16] * len(nums)
 
 
 DISTRIBUTIONS = {"uniform": _uniform, "clustered": _clustered, "slab": _slab}
@@ -167,5 +167,5 @@ def generate_points(n: int, dimension: int, distribution: str = "uniform",
     if distribution not in DISTRIBUTIONS:
         raise UsageError(f"unknown distribution {distribution!r}")
     import random  # only the generators use it; solve never loads it
-    rows = DISTRIBUTIONS[distribution](random.Random(seed), dimension, n)
-    return PointSet(tuple(rows), dimension)
+    nums, dens = DISTRIBUTIONS[distribution](random.Random(seed), dimension, n)
+    return PointSet.from_ratios(nums, dens, dimension)

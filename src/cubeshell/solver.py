@@ -2,25 +2,28 @@
 
 Each solver normalizes and scales its input once, into an IntFrame, and
 works on its integers; values become rationals only in the result. The
-frame holds one column per axis, and the O(n) passes (the order by
-height, the low sites, the 2D narrowing) run column by column in C-level
-``map``/``sorted`` calls; the contacts come from ``tuple.index`` scans.
-The d = 3 solver maximizes the inner radius over the center domain two
-ways, both driven by the one coverage sweep (``uncovered_scaled``): a
-binary search over the plateau levels, and a sorted-matrix search over
-the low sites' critical radii (half a gap between two sites on one axis,
-or a site's distance to a box side), keeping whichever is larger. d = 2
-runs the same two regimes on an interval: the binary search with a scan
-for the leftmost gap between open intervals, then the farthest point
-from the low sites; d = 1 is closed form.
+frame holds one column per axis, and the O(n) passes run column by column
+in C-level ``map``/``sorted``/``compress`` calls; the contacts come from
+``tuple.index`` scans. Before either search, the d = 2 and d = 3 solvers
+keep only the points no higher than an upper bound on r* (``_capped``),
+on uniform input 1 to 15% of them; the searches, the low sites and the
+inner contacts see those alone, the outer contacts the whole frame. The
+d = 3 solver maximizes the inner radius over the center domain two ways,
+both driven by the one coverage sweep (``uncovered_scaled``): a binary
+search over the plateau levels, and a sorted-matrix search over the low
+sites' critical radii (half a gap between two sites on one axis, or a
+site's distance to a box side), keeping whichever is larger. d = 2 runs
+the same two regimes on an interval: the binary search with a scan for
+the leftmost gap between open intervals, then the farthest point from
+the low sites; d = 1 is closed form.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import compress, islice
+from itertools import compress, islice, repeat
 from math import floor
-from operator import itemgetter
+from operator import itemgetter, sub
 
 from .errors import UnsupportedDimensionError, UsageError
 from .geometry import (IntFrame, PlanarPoint, PointSet, Record, int_frame,
@@ -58,8 +61,48 @@ class SolveResult(Record):
         return self.shell.width
 
 
+SAMPLE = 64  # points whose least cap bounds r* in one pruning pass
+
+
 def _frame_of(psn: PointSet | IntFrame) -> IntFrame:
     return psn if isinstance(psn, IntFrame) else scaled_frame(psn)
+
+
+def _capped(fr: IntFrame):
+    """The points of fr that can bound r*, as a frame, and their indices.
+
+    Every center lies in the box, so none is farther from a point than
+    its cap: the larger of |z| and, per box axis [A0, A1], max(x - A0,
+    A1 - x). So r* <= B for B the least cap over any of the points. Above
+    B, the open square of the point with cap B swallows the box, so every
+    level there is infeasible; and a point with |z| > B is active at no
+    level <= B, is no low site (r1 <= B) and no inner contact (it is
+    farther than B from every center). Dropping it changes neither search.
+
+    B is taken over a stride sample of SAMPLE points, and the pass repeats
+    on the kept points while it halves them. The sub-frame shares U, nrm,
+    half and box with fr; with at most SAMPLE points fr comes back whole.
+    """
+    idx = range(len(fr))
+    cols = fr.cols
+    while len(idx) > SAMPLE:
+        *planar, Z = cols
+        step = len(Z) // SAMPLE
+        terms = [map(abs, Z[::step])]
+        for col, a0, a1 in zip(planar, fr.box[0::2], fr.box[1::2]):
+            terms += [map(sub, col[::step], repeat(a0)),
+                      map(sub, repeat(a1), col[::step])]
+        keep = list(map(min(map(max, *terms)).__ge__, map(abs, Z)))
+        m = keep.count(True)
+        if m == len(Z):
+            break
+        idx = list(compress(idx, keep))
+        cols = tuple(tuple(compress(col, keep)) for col in cols)
+        if 2 * m > len(Z):
+            break
+    if cols is fr.cols:
+        return fr, idx
+    return IntFrame(fr.U, cols, fr.nrm, fr.half, fr.box), idx
 
 
 def _last_feasible(levels, test):
@@ -179,23 +222,35 @@ def solve_voronoi_case(psn: PointSet | IntFrame, level: Scalar | None = None):
     return (fr.value(lo), (fr.value(hit[0]), fr.value(hit[1]))), sweeps
 
 
-def _contacts(fr: IntFrame, center_planar: PlanarPoint, rstar: Scalar):
+def _contacts(fr: IntFrame, center_planar: PlanarPoint, rstar: Scalar,
+              kept=None):
     """Points on the outer and on the inner cube, found on integers.
 
     The solvers' centers and r* are frame integers: a center is a box
     corner, a sweep witness or a gap midpoint, r* a point's distance. A
     point is at distance v from the center (c, 0) exactly when some offset
     is +-v and none is larger, so scans of the columns for c +- v find it.
+    No column holds a value outside its range, [A1 - half, A0 + half] on a
+    box axis [A0, A1] and [-half, half] on the last one, so a target there
+    is not scanned. Given ``_capped``'s (sub-frame, indices), the inner
+    contacts come from the kept points, which hold every point within r*.
     """
-    axes = list(zip(fr.cols, [int(c * fr.U) for c in center_planar] + [0]))
+    h, box = fr.half, fr.box
+    ranges = [(a1 - h, a0 + h) for a0, a1 in zip(box[0::2], box[1::2])]
+    ranges.append((-h, h))
+    centers = [int(c * fr.U) for c in center_planar] + [0]
 
-    def at(v):
-        hits = {i for col, c in axes for t in {c - v, c + v}
+    def at(cols, v):
+        axes = list(zip(cols, centers))
+        hits = {i for (col, c), (lo, hi) in zip(axes, ranges)
+                for t in {c - v, c + v} if lo <= t <= hi
                 for i in _positions(col, t)}
         return tuple(sorted(i for i in hits if all(abs(col[i] - c) <= v
                                                    for col, c in axes)))
 
-    return at(fr.half), at(int(rstar * fr.U))
+    part, idx = kept or (fr, range(len(fr)))
+    inner = at(part.cols, int(rstar * fr.U))
+    return at(fr.cols, h), tuple(map(idx.__getitem__, inner))
 
 
 def _positions(values, v) -> list[int]:
@@ -234,13 +289,15 @@ def solve3d(ps: PointSet) -> SolveResult:
     # Neither regime comes back empty: no square is active at the lowest
     # height, so that level is feasible, and the points at or below it
     # give the diagram at least one site.
-    r1, c1 = solve_plateau_case(fr)
-    (r2, c2), count = solve_voronoi_case(fr, r1)
+    kept = _capped(fr)
+    r1, c1 = solve_plateau_case(kept[0])
+    (r2, c2), count = solve_voronoi_case(kept[0], r1)
     if r1 > r2:
         rstar, c, tag = r1, c1, "plateau"
     else:
         rstar, c, tag = r2, c2, ("voronoi" if r2 > r1 else "both")
-    return _finish(fr, c, rstar, tag, count, _contacts(fr, c, rstar), r1, r2)
+    return _finish(fr, c, rstar, tag, count,
+                   _contacts(fr, c, rstar, kept), r1, r2)
 
 
 def solve2d(ps: PointSet) -> SolveResult:
@@ -258,10 +315,10 @@ def solve2d(ps: PointSet) -> SolveResult:
         return _corner_shell(fr)
 
     lo_c, hi_c = fr.box
+    kept = _capped(fr)
     # the lowest point above an x bars whatever the others there bar
-    X, Z = fr.cols
     narrow: dict[int, int] = {}
-    for x, w in zip(X, map(abs, Z)):
+    for x, w in zip(kept[0].cols[0], map(abs, kept[0].cols[1])):
         if narrow.setdefault(x, w) > w:
             narrow[x] = w
     funcs = sorted(narrow.items())
@@ -293,9 +350,10 @@ def solve2d(ps: PointSet) -> SolveResult:
 
     rstar = fr.value(best_v)
     c_star = (fr.value(best_c),)
-    outer, inner = _contacts(fr, c_star, rstar)
+    outer, inner = _contacts(fr, c_star, rstar, kept)
     # the inner contacts are the points at lifted distance r*; the tag says
     # whether a height, a planar distance, or both reach it there
+    X, Z = fr.cols
     plateau_hit = any(abs(Z[i]) == best_v for i in inner)
     voronoi_hit = any(abs(X[i] - best_c) == best_v for i in inner)
     tag = "both" if plateau_hit and voronoi_hit else (

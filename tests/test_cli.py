@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -98,6 +99,26 @@ class TestGenerate:
     def test_bad_distribution(self):
         with pytest.raises(UsageError):
             generate_points(5, 3, "bimodal", seed=0)
+
+    def test_output_unchanged(self):
+        # the digest of the files the Fraction-row generators wrote
+        h = hashlib.sha256()
+        for dist in ("uniform", "clustered", "slab"):
+            for dim in (1, 2, 3):
+                for seed in (1, 2, 3):
+                    for n in (1, 2, 257):
+                        h.update(write_points(
+                            generate_points(n, dim, dist, seed)).encode())
+        assert h.hexdigest() == ("0a97f3da9b28e69993e7e1faa1140a85"
+                                 "9c63b2c2656755b4161216bf296975e7")
+
+    def test_built_from_integers(self, monkeypatch):
+        def from_rows(*args):
+            raise AssertionError("generated points went through Fraction rows")
+
+        monkeypatch.setattr(PointSet, "__init__", from_rows)
+        for dist in ("uniform", "clustered", "slab"):
+            assert len(generate_points(30, 3, dist, seed=2)) == 30
 
 
 class TestSolveCommand:

@@ -2,12 +2,14 @@ import random
 import time
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import repeat
 from math import floor, log
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import CUBE8, pts, rand_points
+from cubeshell import solver
 from cubeshell.errors import UnsupportedDimensionError
 from cubeshell.geometry import (PointSet, center_domain, int_frame,
                                 is_smallest_enclosing_cube, linf_dist,
@@ -15,9 +17,10 @@ from cubeshell.geometry import (PointSet, center_domain, int_frame,
 from cubeshell.oracle import (exact_oracle_2d, exact_oracle_3d,
                               oracle_plateau_level, oracle_voronoi_level)
 from cubeshell.pointio import generate_points
-from cubeshell.shell import inner_radius_at, lift, shell_encloses
-from cubeshell.solver import (_contacts, solve, solve1d, solve2d, solve3d,
-                              solve_plateau_case, solve_voronoi_case)
+from cubeshell.shell import Shell, inner_radius_at, lift, shell_encloses
+from cubeshell.solver import (SolveResult, _capped, _contacts, solve, solve1d,
+                              solve2d, solve3d, solve_plateau_case,
+                              solve_voronoi_case)
 from cubeshell.squares import uncovered_scaled
 from cubeshell.voronoi import build_voronoi, make_sites, vd_candidates_in_rect
 
@@ -430,6 +433,106 @@ class TestContacts:
 def _brute_at(ps, center, v):
     return tuple(i for i, p in enumerate(ps)
                  if max(abs(a - b) for a, b in zip(p, center)) == v)
+
+
+class TestCapped:
+    """Solving only the points with |z| <= B, the least cap, changes nothing."""
+
+    def test_matches_full_frame(self, rng, monkeypatch):
+        kept_fewer = 0
+        for k in range(2100):
+            dim = 2 + k % 2
+            ps = _capped_family(rng, rng.randint(65, 400), dim, k // 2 % 7)
+            res = solve(ps)
+            fr = int_frame(ps)
+            if dim == 3:
+                want = _staged_3d(fr)
+            else:
+                # solve2d with the frame left whole: no pass runs
+                monkeypatch.setattr(solver, "SAMPLE", len(fr))
+                want = solve2d(ps)
+                monkeypatch.undo()
+            assert res == want
+            c = [v * fr.U for v in fr.nrm.apply(res.shell.center)[:-1]]
+            assert (res.outer_contacts, res.inner_contacts) == tuple(
+                _brute_at(fr, (*c, 0), v * fr.U)
+                for v in (res.shell.outer_radius, res.shell.inner_radius))
+            sub, idx = _capped(fr)
+            assert set(res.inner_contacts) <= set(idx)
+            assert res.inner_level * fr.U <= min(map(_cap, fr, repeat(fr.box)))
+            kept_fewer += len(sub) < len(fr)
+        assert kept_fewer >= 1000
+
+    def test_plateau_search_gets_the_kept_points(self, rng, monkeypatch):
+        seen = []
+        search = solver.solve_plateau_case
+        monkeypatch.setattr(solver, "solve_plateau_case",
+                            lambda fr: seen.append(len(fr)) or search(fr))
+        # a 64-point sample's least cap keeps about 64 ** (-1 / 3), a
+        # quarter, of uniform heights; here 925, 1,901 and 4,080 points
+        for s in (1, 2, 3):
+            solve(generate_points(20_000, 3, "uniform", s))
+            assert seen.pop() < 20_000 // 4
+        # at most SAMPLE points: the whole frame, and no pass
+        for k in range(140):
+            n = 64 - k % 62
+            ps = _capped_family(rng, n, 3, k % 7)
+            solve(ps)
+            assert seen.pop() == len(ps)
+        solve(generate_points(50, 3, "slab", 1))
+        assert seen.pop() == 50
+
+
+def _cap(p, box):
+    """Farthest any center of the box gets from p, in the frame."""
+    offsets = [max(x - a0, a1 - x) for x, a0, a1 in zip(p, box[0::2], box[1::2])]
+    return max(abs(p[-1]), *offsets)
+
+
+def _staged_3d(fr):
+    """solve3d from the public stages on the whole frame, contacts by scan."""
+    r1, c1 = solve_plateau_case(fr)
+    (r2, c2), count = solve_voronoi_case(fr, r1)
+    if r1 > r2:
+        rstar, c, tag = r1, c1, "plateau"
+    else:
+        rstar, c, tag = r2, c2, ("voronoi" if r2 > r1 else "both")
+    outer = fr.value(fr.half)
+    contacts = [_brute_at(fr, (*(v * fr.U for v in c), 0), u * fr.U)
+                for u in (outer, rstar)]
+    shell = Shell(fr.nrm.invert(lift(c)), outer, rstar)
+    return SolveResult(shell, rstar, tag, count, *contacts, r1, r2)
+
+
+def _capped_family(rng, n, dim, family):
+    """Mixed denominators, grid ties, a slab, heights at +-span/2, rows
+    sorted by height up or down, or repeated rows; z is the last axis."""
+    span = 20
+    if family == 0:
+        return _mixed_points(rng, n, dim)
+    if family == 1:
+        rows = [[F(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(dim)]
+                for _ in range(n)]
+    elif family == 2:
+        rows = [[F(rng.randint(-8 * span, 8 * span), 16)
+                 for _ in range(dim - 1)] + [F(s * span)] for s in (-1, 1)]
+        rows += [[F(rng.randint(-8 * span, 8 * span), 16)
+                  for _ in range(dim - 1)] + [F(rng.randint(-2, 2), 16)]
+                 for _ in range(n - 2)]
+        rng.shuffle(rows)
+    elif family == 3:
+        rows = [[F(0)] * (dim - 1) + [F(s * span)] for s in (-1, 1)]
+        rows += [[F(rng.randint(-span, span), 2) for _ in range(dim - 1)]
+                 + [F(rng.choice((-span, span)), 2)] for _ in range(n - 2)]
+    elif family in (4, 5):
+        rows = [[F(rng.randint(-4 * span, 4 * span), 4) for _ in range(dim)]
+                for _ in range(n)]
+        rows.sort(key=lambda r: abs(r[-1]), reverse=family == 5)
+    else:
+        rows = [[F(rng.randint(-span, span), rng.choice((1, 2, 3)))
+                 for _ in range(dim)] for _ in range(max(2, n // 3))]
+        rows += [rng.choice(rows) for _ in range(n - len(rows))]
+    return pts(*rows)
 
 
 class TestSolve2d:
