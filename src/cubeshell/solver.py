@@ -7,30 +7,29 @@ in C-level ``map``/``sorted``/``compress`` calls; the contacts come from
 ``tuple.index`` scans. Before either search, the d = 2 and d = 3 solvers
 keep only the points no higher than an upper bound on r* (``_capped``),
 on uniform input 1 to 15% of them; the searches, the low sites and the
-inner contacts see those alone, the outer contacts the whole frame. The
-d = 3 solver maximizes the inner radius over the center domain two ways,
-both driven by the one coverage sweep (``uncovered_scaled``): a binary
-search over the plateau levels, and a sorted-matrix search over the low
-sites' critical radii (half a gap between two sites on one axis, or a
-site's distance to a box side), keeping whichever is larger. d = 2 runs
-the same two regimes on an interval: the binary search with a scan for
-the leftmost gap between open intervals, then the farthest point from
-the low sites; d = 1 is closed form.
+inner contacts see those alone, the outer contacts the whole frame. Both
+solvers are one function over the k = d - 1 free axes of the center box,
+which maximizes the inner radius there two ways, both driven by the one
+coverage decision (``uncovered``: a sweep over squares for k = 2, a scan
+over intervals for k = 1): a binary search over the plateau levels, and a
+sorted-matrix search over the low sites' critical radii (half a gap
+between two sites on one axis, or a site's distance to a box side),
+keeping whichever is larger. d = 1 is closed form.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import compress, islice, repeat
+from itertools import compress, repeat
 from math import floor
-from operator import itemgetter, sub
+from operator import sub
 
 from .errors import UnsupportedDimensionError, UsageError
 from .geometry import (IntFrame, PlanarPoint, PointSet, Record, int_frame,
                        scaled_frame)
 from .rational import Scalar
 from .shell import Shell, lift
-from .squares import uncovered_scaled
+from .squares import uncovered
 
 
 class SolveResult(Record):
@@ -38,10 +37,9 @@ class SolveResult(Record):
 
     inner_level is the normalized-frame inner radius (same value as
     shell.inner_radius); contacts index into the input point order.
-    candidate_count is the work of the last stage: in 3D the coverage
-    sweeps that the diagram-regime search ran over the critical radii,
-    O(log m) for m low sites; in 2D the low-site candidates scanned; in
-    1D the number of points.
+    candidate_count is the work of the last stage: in 2D and 3D the
+    coverage sweeps that the diagram-regime search ran over the critical
+    radii, O(log m) for m low sites; in 1D the number of points.
     """
 
     __slots__ = ("shell", "inner_level", "case_tag", "candidate_count",
@@ -123,39 +121,40 @@ def _last_feasible(levels, test):
 def solve_plateau_case(psn: PointSet | IntFrame):
     """Largest height level at which the decision procedure still says yes.
 
-    psn is a normalized point set or its IntFrame. Monotonicity of the
-    decision in the radius makes the binary search over the sorted
-    distinct levels valid. The point indices are sorted by height once, so
-    the squares active at a level are a prefix of that order. Returns
-    (level, center); the lowest level is always feasible, since no square
-    is active there.
+    psn is a normalized point set of dimension 2 or 3, or its IntFrame.
+    Monotonicity of the decision in the radius makes the binary search over
+    the sorted distinct levels valid. The point indices are sorted by
+    height once, so the cubes active at a level are a prefix of that order.
+    Returns (level, center); the lowest level is always feasible, since no
+    cube is active there.
     """
     fr = _frame_of(psn)
-    X, Y, Z = fr.cols
+    *planar, Z = fr.cols
     abs_heights = list(map(abs, Z))
     order = sorted(range(len(Z)), key=abs_heights.__getitem__)
-    heights, xs, ys = [list(map(col.__getitem__, order))
-                       for col in (abs_heights, X, Y)]
+    heights, *cols = [list(map(col.__getitem__, order))
+                      for col in (abs_heights, *planar)]
 
     def test(h):
         k = bisect_left(heights, h)
-        return uncovered_scaled(xs[:k], ys[:k], h, fr.box)
+        return uncovered([col[:k] for col in cols], h, fr.box)
 
     level, hit = _last_feasible(sorted(set(heights)), test)
-    return fr.value(level), (fr.value(hit[0]), fr.value(hit[1]))
+    return fr.value(level), tuple(map(fr.value, hit))
 
 
 def solve_voronoi_case(psn: PointSet | IntFrame, level: Scalar | None = None):
-    """Largest r at which the low sites' open squares leave a center uncovered.
+    """Largest r at which the low sites' open cubes leave a center uncovered.
 
-    psn is a normalized point set or its IntFrame. Returns ((value,
-    center) or None, number of coverage sweeps run).
+    psn is a normalized point set of dimension 2 or 3, or its IntFrame; its
+    k = d - 1 planar columns span the center box. Returns ((value, center)
+    or None, number of coverage sweeps run).
 
     The decision search fixes the largest feasible height level; between
     that level and the next one up, only points at or below it can pull
     the inner radius down, and they do so through their projected
     distance alone. The value is therefore the largest r at which the
-    open squares of radius r around those low sites still leave a point
+    open cubes of radius r around those low sites still leave a point
     of the center box uncovered (the largest nearest-site distance over
     the box), and the center is the sweep's witness there; the lifted
     and projected distances agree at it whenever this regime wins. With
@@ -173,27 +172,31 @@ def solve_voronoi_case(psn: PointSet | IntFrame, level: Scalar | None = None):
     entries, so O(log m) sweeps suffice for m sites.
     """
     fr = _frame_of(psn)
-    X, Y, Z = fr.cols
+    *planar, Z = fr.cols
     # heights are frame integers, so |z| <= level exactly when |z| <= floor
     top = max(map(abs, Z)) if level is None else floor(level * fr.U)
-    low = set(compress(zip(X, Y), map(top.__ge__, map(abs, Z))))
-    if not low:
+    low = list(map(top.__ge__, map(abs, Z)))
+    if True not in low:
         return None, 0
+    axes = [(list(compress(col, low)), a0, a1)
+            for col, a0, a1 in zip(planar, fr.box[0::2], fr.box[1::2])]
     # sites further from the domain than this bound are never nearest
     # anywhere inside it, so dropping them changes no distance there
-    X0, X1, Y0, Y1 = fr.box
-    cx, cy = (X0 + X1) // 2, (Y0 + Y1) // 2
-    d_mid = min(max(abs(x - cx), abs(y - cy)) for x, y in low)
-    cutoff = d_mid + max(X1 - X0, Y1 - Y0)
-    sites = sorted((x, y) for x, y in low  # by x: the sweeps' sorts are linear
-                   if max(X0 - x, x - X1, Y0 - y, y - Y1) <= cutoff)
-    xs, ys = zip(*sites)
+    d_mid = min(map(max, zip(*[map(abs, map(sub, col, repeat((a0 + a1) // 2)))
+                               for col, a0, a1 in axes])))
+    cutoff = d_mid + max(a1 - a0 for _, a0, a1 in axes)
+    near = [map(range(a0 - cutoff, a1 + cutoff + 1).__contains__, col)
+            for col, a0, a1 in axes]
+    # by the first axis: the sweeps' sorts are linear
+    sites = sorted(set(compress(zip(*[col for col, _, _ in axes]),
+                                map(all, zip(*near)))))
+    cols = list(zip(*sites))
 
     # Row i of an axis's matrix holds L[j] - L[i] for j past i, and row D
     # the doubled side distances; [a, b) is the part of a row strictly
     # between 2*lo and 2*hi. All are even, so each candidate is an integer.
     rows = []
-    for coords, c0, c1 in ((xs, X0, X1), (ys, Y0, Y1)):
+    for coords, c0, c1 in zip(cols, fr.box[0::2], fr.box[1::2]):
         L = sorted(set(coords))
         D = sorted({v for c in L for v in (2 * (c1 - c), 2 * (c - c0)) if v >= 0})
         rows += [[L, L[i], i + 1, len(L)] for i in range(len(L) - 1)]
@@ -208,7 +211,7 @@ def solve_voronoi_case(psn: PointSet | IntFrame, level: Scalar | None = None):
             if 2 * acc >= total:
                 break
         r = diff // 2
-        got = uncovered_scaled(xs, ys, r, fr.box)
+        got = uncovered(cols, r, fr.box)
         sweeps += 1
         if got is not None:
             lo, hit = r, got
@@ -219,7 +222,7 @@ def solve_voronoi_case(psn: PointSet | IntFrame, level: Scalar | None = None):
                 row[3] = bisect_left(row[0], row[1] + diff, row[2], row[3])
         rows = [row for row in rows if row[2] < row[3]]
     # r* is itself a candidate, and feasible, so some sweep set hit
-    return (fr.value(lo), (fr.value(hit[0]), fr.value(hit[1]))), sweeps
+    return (fr.value(lo), tuple(map(fr.value, hit))), sweeps
 
 
 def _contacts(fr: IntFrame, center_planar: PlanarPoint, rstar: Scalar,
@@ -227,9 +230,9 @@ def _contacts(fr: IntFrame, center_planar: PlanarPoint, rstar: Scalar,
     """Points on the outer and on the inner cube, found on integers.
 
     The solvers' centers and r* are frame integers: a center is a box
-    corner, a sweep witness or a gap midpoint, r* a point's distance. A
-    point is at distance v from the center (c, 0) exactly when some offset
-    is +-v and none is larger, so scans of the columns for c +- v find it.
+    corner or a coverage witness, r* a point's distance. A point is at
+    distance v from the center (c, 0) exactly when some offset is +-v and
+    none is larger, so scans of the columns for c +- v find it.
     No column holds a value outside its range, [A1 - half, A0 + half] on a
     box axis [A0, A1] and [-half, half] on the last one, so a target there
     is not scanned. Given ``_capped``'s (sub-frame, indices), the inner
@@ -279,86 +282,36 @@ def _corner_shell(fr: IntFrame) -> SolveResult:
     return _finish(fr, c, rstar, "plateau", 0, _contacts(fr, c, rstar))
 
 
-def solve3d(ps: PointSet) -> SolveResult:
-    if ps.dimension != 3:
-        raise UsageError("solve3d expects dimension 3")
+def _solve(ps: PointSet, d: int) -> SolveResult:
+    """Both regimes over the d - 1 free axes of the center box; r* is the
+    larger value. On a tie the center is the plateau witness: at r* the
+    plateau test bars the cubes of the points lower than r*, the diagram
+    search's test those at or below it, so the plateau witness is the
+    leftmost optimal center."""
+    if ps.dimension != d:
+        raise UsageError(f"solve{d}d expects dimension {d}")
     fr = int_frame(ps)
     if len(fr) <= 2:
         # one or two points always admit a width-0 shell
         return _corner_shell(fr)
-    # Neither regime comes back empty: no square is active at the lowest
+    # Neither regime comes back empty: no cube is active at the lowest
     # height, so that level is feasible, and the points at or below it
     # give the diagram at least one site.
     kept = _capped(fr)
     r1, c1 = solve_plateau_case(kept[0])
     (r2, c2), count = solve_voronoi_case(kept[0], r1)
-    if r1 > r2:
-        rstar, c, tag = r1, c1, "plateau"
-    else:
-        rstar, c, tag = r2, c2, ("voronoi" if r2 > r1 else "both")
+    rstar, c = (r1, c1) if r1 >= r2 else (r2, c2)
+    tag = "plateau" if r1 > r2 else "voronoi" if r2 > r1 else "both"
     return _finish(fr, c, rstar, tag, count,
                    _contacts(fr, c, rstar, kept), r1, r2)
 
 
+def solve3d(ps: PointSet) -> SolveResult:
+    return _solve(ps, 3)
+
+
 def solve2d(ps: PointSet) -> SolveResult:
-    """The 3D regimes on the center interval [lo_c, hi_c].
-
-    At radius r a point of height w < r bars the centers (x - r, x + r).
-    Up to the next height past r1, only the low points bar any, so r* is
-    the larger of r1 and their farthest point; each is the leftmost
-    center of its value.
-    """
-    if ps.dimension != 2:
-        raise UsageError("solve2d expects dimension 2")
-    fr = int_frame(ps)
-    if len(fr) <= 2:
-        return _corner_shell(fr)
-
-    lo_c, hi_c = fr.box
-    kept = _capped(fr)
-    # the lowest point above an x bars whatever the others there bar
-    narrow: dict[int, int] = {}
-    for x, w in zip(kept[0].cols[0], map(abs, kept[0].cols[1])):
-        if narrow.setdefault(x, w) > w:
-            narrow[x] = w
-    funcs = sorted(narrow.items())
-
-    def gap(r):
-        # the leftmost center no open interval covers; those that end at
-        # or before lo_c cover none
-        c = lo_c
-        start = bisect_right(funcs, lo_c - r, key=itemgetter(0))
-        for x, w in islice(funcs, start, None):
-            if w < r and x + r > c:
-                if x - r >= c:
-                    break
-                c = x + r
-                if c > hi_c:
-                    return None
-        return c
-
-    r1, c1 = _last_feasible(sorted(set(narrow.values())), gap)
-    # the low sites' farthest point is an end or a gap midpoint inside
-    low = [x for x, w in funcs if w <= r1]
-    cands = [(min(abs(x - lo_c) for x in low), lo_c)]
-    cands += [((b - a) // 2, (a + b) // 2) for a, b in zip(low, low[1:])
-              if lo_c < (a + b) // 2 < hi_c]
-    cands.append((min(abs(x - hi_c) for x in low), hi_c))
-    # max keeps the first of equal values, so the leftmost center
-    r2, c2 = max(cands, key=lambda vc: vc[0])
-    best_v, best_c = (r1, c1) if r1 >= r2 else (r2, c2)
-
-    rstar = fr.value(best_v)
-    c_star = (fr.value(best_c),)
-    outer, inner = _contacts(fr, c_star, rstar, kept)
-    # the inner contacts are the points at lifted distance r*; the tag says
-    # whether a height, a planar distance, or both reach it there
-    X, Z = fr.cols
-    plateau_hit = any(abs(Z[i]) == best_v for i in inner)
-    voronoi_hit = any(abs(X[i] - best_c) == best_v for i in inner)
-    tag = "both" if plateau_hit and voronoi_hit else (
-        "plateau" if plateau_hit else "voronoi")
-    return _finish(fr, c_star, rstar, tag, len(cands), (outer, inner))
+    return _solve(ps, 2)
 
 
 def solve1d(ps: PointSet) -> SolveResult:

@@ -8,7 +8,9 @@ witness, via a left-to-right sweep over the squares' vertical sides.
 Both sweeps keep the active centers' ys in one sorted list with sentinels
 at either end and update it per square: the coverage sweep counts the
 gaps of at least 2w, and the boundary sweep toggles the piece of the gap
-that each entering or leaving square covers or uncovers.
+that each entering or leaving square covers or uncovers. ``uncovered``
+answers the same decision for the solvers over one free axis too, where
+the squares are open intervals and a scan by x replaces the sweep.
 
 All sweep arithmetic runs on integers: ``_clip_at`` cuts the squares from
 a point set's frame columns, scaled once more by the radius's
@@ -18,9 +20,9 @@ rationals.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 from operator import itemgetter, mul
 
 from .errors import PreconditionError, UsageError
@@ -309,6 +311,30 @@ def uncovered_scaled(cxs, cys, w, box):
         if x == X1:
             return None
         x = min(sq[i][0] - w, sq[j][0] + w, X1)
+
+
+def uncovered(cols, w, box):
+    """Leftmost point of box in no open cube of radius w around the points
+    whose coordinates the k = 1 or 2 columns hold, or None. Integers.
+
+    For k = 2 this is ``uncovered_scaled``. For k = 1 the box is [A0, A1]
+    and the cubes are intervals (x - w, x + w): scanned by x, each one that
+    covers the candidate c moves it to x + w, and the first that starts at
+    or past c leaves it uncovered. Those ending at or before A0 cover none.
+    """
+    if len(cols) == 2:
+        return uncovered_scaled(*cols, w, box)
+    A0, A1 = box
+    xs = sorted(cols[0])
+    c = A0
+    for x in islice(xs, bisect_right(xs, A0 - w), None):
+        if x - w >= c:
+            break
+        if x + w > c:
+            c = x + w
+            if c > A1:
+                return None
+    return (c,)
 
 
 def decide(ps: PointSet, r: Scalar) -> tuple[bool, PlanarPoint | None]:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import pts
+from cubeshell import solver
 from cubeshell.cli import main
 from cubeshell.errors import EmptyInputError, UsageError
 from cubeshell.geometry import PointSet, center_domain, normalize, point_set
@@ -133,6 +134,19 @@ class TestSolveCommand:
         assert doc["case"] == "both"
         assert doc["center_exact"] == ["0/1", "0/1", "0/1"]
         assert doc["r1_exact"] == "1/1" and doc["r2_exact"] == "1/1"
+
+    def test_planar_file_reports_both_regimes(self, capsys, tmp_path):
+        for seed in (1, 2, 3):
+            path = tmp_path / f"p{seed}.txt"
+            path.write_text(write_points(generate_points(12, 2, "uniform",
+                                                         seed)))
+            code, out, _ = run_cli(capsys, ["solve", str(path)])
+            doc = json.loads(out)
+            assert code == 0 and doc["dimension"] == 2
+            r1, r2 = F(doc["r1_exact"]), F(doc["r2_exact"])
+            assert F(doc["inner_radius_exact"]) == max(r1, r2)
+            assert doc["case"] == ("plateau" if r1 > r2 else
+                                   "voronoi" if r2 > r1 else "both")
 
     def test_precision_flag(self, capsys, monkeypatch):
         code, out, _ = run_cli(capsys, ["solve", "--precision", "2"],
@@ -356,16 +370,32 @@ class TestOtherCommands:
         assert want[0] == (1 if level == "0" else 0)
 
     def test_bench_table(self, capsys, monkeypatch):
-        code, out, _ = run_cli(capsys, ["bench", "--sizes", "5,10"])
-        assert code == 0
-        rows = [ln.split() for ln in out.splitlines() if ln.strip()]
-        assert len(rows) == 3  # header + one row per size
-        assert rows[0] == ["n", "dim", "seconds", "sweeps", "case"]
-        # the sweeps column is the solve's candidate_count
-        for (n, dim, _, sweeps, case), size in zip(rows[1:], (5, 10)):
-            res = solve(generate_points(size, 3, "uniform", 0))
-            assert (n, dim, case) == (str(size), "3", res.case_tag)
-            assert sweeps == str(res.candidate_count)
+        # the sweeps column is the solve's candidate_count, the coverage
+        # sweeps of the diagram-regime search in 2D as in 3D
+        sweeps_run = []
+        search = solver.solve_voronoi_case
+
+        def counted(fr, r1):
+            best, count = search(fr, r1)
+            sweeps_run.append(count)
+            return best, count
+
+        monkeypatch.setattr(solver, "solve_voronoi_case", counted)
+        for d in ("3", "2"):
+            code, out, _ = run_cli(capsys, ["bench", "--sizes", "5,10",
+                                            "--dim", d])
+            assert code == 0
+            rows = [ln.split() for ln in out.splitlines() if ln.strip()]
+            assert len(rows) == 3  # header + one row per size
+            assert rows[0] == ["n", "dim", "seconds", "sweeps", "case"]
+            for (n, dim, _, sweeps, case), size in zip(rows[1:], (5, 10)):
+                res = solve(generate_points(size, int(d), "uniform", 0))
+                assert (n, dim, case) == (str(size), d, res.case_tag)
+                assert sweeps == str(res.candidate_count)
+            # the bench ran each size, then the loop above did
+            assert sweeps_run[:2] == sweeps_run[2:] == [
+                int(row[3]) for row in rows[1:]]
+            sweeps_run.clear()
 
     def test_bench_bad_sizes_exits_2(self, capsys, monkeypatch):
         code, _, _ = run_cli(capsys, ["bench", "--sizes", "a,b"])

@@ -288,19 +288,14 @@ class TestSolve3d:
             assert res.inner_level == want
 
     def test_case_values_bound_result(self, rng):
-        for _ in range(20):
-            ps = rand_points(rng, rng.randint(3, 24))
-            res = solve3d(ps)
-            values = [v for v in (res.plateau_value, res.voronoi_value)
-                      if v is not None]
-            assert values
-            assert max(values) == res.inner_level
-            if res.case_tag == "plateau":
-                assert res.plateau_value == res.inner_level
-            elif res.case_tag == "voronoi":
-                assert res.voronoi_value == res.inner_level
-            else:
-                assert res.plateau_value == res.voronoi_value
+        # one tag rule in 2D and 3D: the tag names the larger regime value
+        for k in range(40):
+            ps = rand_points(rng, rng.randint(3, 24), dim=2 + k % 2)
+            res = solve(ps)
+            r1, r2 = res.plateau_value, res.voronoi_value
+            assert max(r1, r2) == res.inner_level
+            assert res.case_tag == ("plateau" if r1 > r2 else
+                                    "voronoi" if r2 > r1 else "both")
 
     def test_output_structure(self, rng):
         for _ in range(15):
@@ -493,10 +488,8 @@ def _staged_3d(fr):
     """solve3d from the public stages on the whole frame, contacts by scan."""
     r1, c1 = solve_plateau_case(fr)
     (r2, c2), count = solve_voronoi_case(fr, r1)
-    if r1 > r2:
-        rstar, c, tag = r1, c1, "plateau"
-    else:
-        rstar, c, tag = r2, c2, ("voronoi" if r2 > r1 else "both")
+    rstar, c = (r1, c1) if r1 >= r2 else (r2, c2)
+    tag = "plateau" if r1 > r2 else "voronoi" if r2 > r1 else "both"
     outer = fr.value(fr.half)
     contacts = [_brute_at(fr, (*(v * fr.U for v in c), 0), u * fr.U)
                 for u in (outer, rstar)]
@@ -565,16 +558,28 @@ class TestSolve2d:
                                               res.shell.outer_radius)
 
     def test_matches_cone_envelope(self, rng):
-        # the lower-envelope method the gap scan replaced, kept as the
-        # reference for the center, radii, tag and contacts
+        # a lower-envelope method, kept as the reference for the center,
+        # radii and contacts
         for k in range(320):
             ps = _planar_points(rng, rng.randint(3, 40), k % 4)
             res = solve2d(ps)
             sh = res.shell
             got = (sh.center, sh.outer_radius, sh.inner_radius,
-                   res.inner_level, res.case_tag, res.outer_contacts,
-                   res.inner_contacts)
+                   res.inner_level, res.outer_contacts, res.inner_contacts)
             assert got == _envelope_2d(ps)
+
+    def test_runs_both_regime_searches(self, monkeypatch):
+        # one solver for d = 2 and 3: no 2D copy of either regime
+        seen = []
+        plateau, diagram = solver.solve_plateau_case, solver.solve_voronoi_case
+        monkeypatch.setattr(solver, "solve_plateau_case",
+                            lambda fr: seen.append("plateau") or plateau(fr))
+        monkeypatch.setattr(solver, "solve_voronoi_case",
+                            lambda fr, r1: seen.append("voronoi")
+                            or diagram(fr, r1))
+        res = solve2d(pts((0, 0), (4, 1), (1, 3), (3, -2), (2, 4)))
+        assert seen == ["plateau", "voronoi"]
+        assert res.plateau_value is not None and res.voronoi_value is not None
 
     def test_scaling_distinct_x(self):
         # all x's distinct, so no two points share a per-x cone
@@ -634,8 +639,8 @@ def _envelope_2d(ps):
     """Maximum of the lower envelope of max(|c - x|, |z|) over the interval.
 
     Returns what solve2d reports: center, outer and inner radius, inner
-    level, case tag and both contact tuples. Candidate ties go to the
-    leftmost center.
+    level and both contact tuples. Candidate ties go to the leftmost
+    center.
     """
     fr = int_frame(ps)
     lo_c, hi_c = fr.box
@@ -666,12 +671,8 @@ def _envelope_2d(ps):
                 best_v, best_c = v, c
     rstar, center = fr.value(best_v), (fr.value(best_c),)
     outer, inner = _contacts(fr, center, rstar)
-    heights = any(abs(Z[i]) == best_v for i in inner)
-    planar = any(abs(X[i] - best_c) == best_v for i in inner)
-    tag = ("both" if heights and planar else
-           "plateau" if heights else "voronoi")
     shell_center = fr.nrm.invert(lift(center))
-    return (shell_center, fr.value(fr.half), rstar, rstar, tag, outer, inner)
+    return (shell_center, fr.value(fr.half), rstar, rstar, outer, inner)
 
 
 class TestSolve1d:

@@ -14,8 +14,8 @@ from cubeshell.oracle import (exact_oracle_3d, union_area_brute,
                               union_vertices_brute)
 from cubeshell.shell import inner_radius_at
 from cubeshell.squares import (Square, _Column, _component_count, _prefilter,
-                               clip_ball, decide, uncovered_scaled, union_at,
-                               union_of_squares)
+                               clip_ball, decide, uncovered, uncovered_scaled,
+                               union_at, union_of_squares)
 
 F = Fraction
 
@@ -346,6 +346,36 @@ class TestSweepProperty:
             assert not any(abs(x - u) < w and abs(y - v) < w
                            for u, v in zip(xs, ys))
             assert x == min(a for a, _ in brute)
+
+
+class TestIntervalDecision:
+    """k = 1: the uncovered set is closed with integer ends, so an integer
+    of [A0, A1] witnesses it whenever it is not empty."""
+
+    def test_matches_integer_brute_force(self, rng):
+        for k in range(3000):
+            span = rng.choice((3, 8, 20))
+            A0 = rng.randint(-span, span)
+            A1 = A0 + rng.choice((0, rng.randint(0, span)))
+            w = rng.choice((0, rng.randint(1, span)))
+            xs = [rng.randint(A0 - 2 * span, A1 + 2 * span)
+                  for _ in range(rng.randint(0, 10))]
+            xs += xs[:rng.randint(0, len(xs))]
+            rng.shuffle(xs)
+            free = [c for c in range(A0, A1 + 1)
+                    if not any(abs(c - x) < w for x in xs)]
+            assert uncovered([xs], w, (A0, A1)) == (
+                (free[0],) if free else None)
+
+    def test_edges(self):
+        # w = 0 covers nothing; an interval open at A0 leaves A0 free
+        assert uncovered([[0, 5]], 0, (0, 5)) == (0,)
+        assert uncovered([[-3]], 3, (0, 5)) == (0,)
+        # crossing either end, unsorted, and repeated
+        assert uncovered([[7, -2, 7]], 3, (0, 5)) == (1,)
+        assert uncovered([[2, -2, 2, 6]], 3, (0, 5)) is None
+        assert uncovered([[3]], 3, (3, 3)) is None
+        assert uncovered([[0]], 3, (3, 3)) == (3,)
 
 
 def _dict_sweep(cxs, cys, w, box):
