@@ -266,27 +266,15 @@ def normalize(ps: PointSet) -> tuple[PointSet, Normalization]:
 
     Ties among longest sides go to the smallest axis index. The returned
     transform maps original points to normalized ones; ``invert`` undoes it.
-    The normalized set holds its frame: the input's scale U (doubled when
-    the longest axis has an odd midpoint, which centering would otherwise
-    leave in odd coordinates), its columns times U and their extremes, and
-    Fraction rows only if read.
+    The normalized set holds its frame (``frame_map``): the input's scale U
+    (doubled when the longest axis has an odd midpoint), its columns times
+    U and their extremes, and Fraction rows only if read.
     """
-    U, cols, lo, hi = ps._scaled
-    sides = list(map(sub, hi, lo))
-    longest = sides.index(max(sides))
-    mid = (lo[longest] + hi[longest]) // 2
-    if mid % 2:
-        U, mid = 2 * U, 2 * mid
-        cols = [tuple(map(mul, col, repeat(2))) for col in cols]
-        lo, hi = [2 * v for v in lo], [2 * v for v in hi]
-    order = tuple(i for i in range(ps.dimension) if i != longest) + (longest,)
-    cols = [cols[a] for a in order]
-    cols[-1] = tuple(map(sub, cols[-1], repeat(mid)))
-    lo, hi = [lo[a] for a in order], [hi[a] for a in order]
-    lo[-1], hi[-1] = lo[-1] - mid, hi[-1] - mid
-    translation = (Fraction(0),) * (ps.dimension - 1) + (Fraction(-mid, U),)
-    return (PointSet._scaled_by(U, tuple(cols), lo, hi),
-            Normalization(order, translation))
+    fm = frame_map(ps)
+    _, cols, lo, hi = ps._scaled
+    # the map is monotone per axis, so the extremes frame as two rows
+    lo, hi = map(list, zip(*fm.frame(list(zip(lo, hi))).cols))
+    return PointSet._scaled_by(fm.U, fm.frame(cols).cols, lo, hi), fm.nrm
 
 
 class CenterDomain(Record):
@@ -316,7 +304,9 @@ class IntFrame(Record):
     """A point set and its center domain on integers, scaled by one factor U.
 
     ``cols`` holds one tuple per axis of the frame's coordinates times U, in
-    input order, and nothing is kept per point; ``half`` is the outer radius
+    input order, for the rows it was built from: all of them from
+    ``int_frame``, and in a solve only the rows that can bound r*
+    (``FrameMap.frame``). Nothing is kept per point; ``half`` is the outer radius
     and ``box`` the center box (lo_0, hi_0, lo_1, hi_1, ...) times U. Every
     value is an even integer, so the midpoint of two of them is an integer
     too. ``nrm`` maps original points to the frame's unscaled ones. Like a
@@ -346,25 +336,66 @@ class IntFrame(Record):
         return CenterDomain(self.value(self.half), Box(lo, hi), rank)
 
 
-def _frame(U, cols, lo, hi, nrm) -> IntFrame:
-    # per axis i < d the center interval is [max_i - h/2, min_i + h/2]
-    half = max(map(sub, hi, lo)) // 2
-    box = tuple(v for a, b in zip(lo[:-1], hi[:-1]) for v in (b - half, a + half))
-    return IntFrame(U, cols, nrm, half, box)
+class FrameMap(Record):
+    """How ``normalize`` takes a set's columns into its frame.
+
+    Frame axis j holds source axis ``order[j]``, the longest last. A value
+    v of a source column becomes ``s * v`` on a box axis and
+    ``s * (v - mid)`` on the last one: mid is the longest axis's midpoint,
+    and s is 2 when mid is odd (centering would leave odd values), else 1.
+    ``U``, ``nrm``, ``half`` and ``box`` are the frame's, as in IntFrame.
+    ``frame`` applies the map to any subset of the rows.
+    """
+
+    __slots__ = ("order", "mid", "s", "U", "nrm", "half", "box")
+
+    def __init__(self, order: tuple[int, ...], mid: int, s: int, U: int,
+                 nrm: Normalization, half: int, box: tuple[int, ...]):
+        self._fill(order, mid, s, U, nrm, half, box)
+
+    def frame(self, cols) -> IntFrame:
+        """The frame of the rows whose columns, in source axis order, are cols."""
+        cols = [cols[a] for a in self.order]
+        cols[-1] = map(sub, cols[-1], repeat(self.mid))
+        if self.s != 1:
+            cols = [map(mul, col, repeat(self.s)) for col in cols]
+        return IntFrame(self.U, tuple(map(tuple, cols)), self.nrm, self.half,
+                        self.box)
+
+
+def frame_map(ps: PointSet) -> FrameMap:
+    """normalize's map of ps, from the extremes ps holds."""
+    U, _, lo, hi = ps._scaled
+    sides = list(map(sub, hi, lo))
+    longest = sides.index(max(sides))
+    mid = (lo[longest] + hi[longest]) // 2
+    s = 1 + mid % 2
+    order = tuple(i for i in range(ps.dimension) if i != longest) + (longest,)
+    nrm = Normalization(order, (Fraction(0),) * (ps.dimension - 1)
+                        + (Fraction(-mid, U),))
+    # per box axis the center interval is [max - h/2, min + h/2]
+    half = s * sides[longest] // 2
+    box = tuple(v for a in order[:-1]
+                for v in (s * hi[a] - half, s * lo[a] + half))
+    return FrameMap(order, mid, s, s * U, nrm, half, box)
 
 
 def int_frame(ps: PointSet) -> IntFrame:
-    """The frame of ps normalized: ``normalize``'s columns, extremes and map."""
-    psn, nrm = normalize(ps)
-    return _frame(*psn._scaled, nrm)
+    """The frame of every row of ps normalized: ``normalize``'s columns,
+    extremes and map. A solve frames only the rows it keeps."""
+    return frame_map(ps).frame(ps._scaled[1])
 
 
 def scaled_frame(psn: PointSet) -> IntFrame:
     """The frame of a point set taken as already normalized: its own U,
     columns and their extremes, under the identity map."""
+    U, cols, lo, hi = psn._scaled
     d = psn.dimension
-    return _frame(*psn._scaled,
-                  Normalization(tuple(range(d)), (Fraction(0),) * d))
+    # per axis i < d the center interval is [max_i - h/2, min_i + h/2]
+    half = max(map(sub, hi, lo)) // 2
+    box = tuple(v for a, b in zip(lo[:-1], hi[:-1]) for v in (b - half, a + half))
+    return IntFrame(U, cols, Normalization(tuple(range(d)), (Fraction(0),) * d),
+                    half, box)
 
 
 def is_smallest_enclosing_cube(ps: PointSet, center: Coords, radius: Scalar) -> bool:

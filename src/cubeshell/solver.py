@@ -1,20 +1,22 @@
 """Minimum-width shell solvers for dimensions 1, 2, and 3.
 
-Each solver normalizes and scales its input once, into an IntFrame, and
-works on its integers; values become rationals only in the result. The
-frame holds one column per axis, and the O(n) passes run column by column
-in C-level ``map``/``sorted``/``compress`` calls; the contacts come from
-``tuple.index`` scans. Before either search, the d = 2 and d = 3 solvers
-keep only the points no higher than an upper bound on r* (``_capped``),
-on uniform input 1 to 15% of them; the searches, the low sites and the
-inner contacts see those alone, the outer contacts the whole frame. Both
-solvers are one function over the k = d - 1 free axes of the center box,
-which maximizes the inner radius there two ways, both driven by the one
-coverage decision (``uncovered``: a sweep over squares for k = 2, a scan
-over intervals for k = 1): a binary search over the plateau levels, and a
-sorted-matrix search over the low sites' critical radii (half a gap
-between two sites on one axis, or a site's distance to a box side),
-keeping whichever is larger. d = 1 is closed form.
+Each solver works on the integers of one frame (IntFrame), scaled and
+normalized by a map read off the input's column extremes (FrameMap);
+values become rationals only in the result. The frame holds one column
+per axis, and the O(n) passes run column by column in C-level
+``map``/``sorted``/``compress`` calls. Before either search, the d = 2
+and d = 3 solvers select the rows no higher than an upper bound on r*
+(``_capped``), on uniform input 1 to 15% of them, straight from the
+input's height column, and frame only those rows; the searches, the low
+sites and the inner contacts see them alone. The outer contacts are the
+touched extremes of the input's own columns, found by ``tuple.index``
+scans. Both solvers are one function over the k = d - 1 free axes of the
+center box, which maximizes the inner radius there two ways, both driven
+by the one coverage decision (``uncovered``: a sweep over squares for
+k = 2, a scan over intervals for k = 1): a binary search over the plateau
+levels, and a sorted-matrix search over the low sites' critical radii
+(half a gap between two sites on one axis, or a site's distance to a box
+side), keeping whichever is larger. d = 1 is closed form.
 """
 
 from __future__ import annotations
@@ -22,11 +24,11 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from itertools import compress, repeat
 from math import floor
-from operator import sub
+from operator import itemgetter, sub
 
 from .errors import UnsupportedDimensionError, UsageError
-from .geometry import (IntFrame, PlanarPoint, PointSet, Record, int_frame,
-                       scaled_frame)
+from .geometry import (IntFrame, PlanarPoint, PointSet, Record, frame_map,
+                       int_frame, scaled_frame)
 from .rational import Scalar
 from .shell import Shell, lift
 from .squares import uncovered
@@ -66,8 +68,8 @@ def _frame_of(psn: PointSet | IntFrame) -> IntFrame:
     return psn if isinstance(psn, IntFrame) else scaled_frame(psn)
 
 
-def _capped(fr: IntFrame):
-    """The points of fr that can bound r*, as a frame, and their indices.
+def _capped(ps: PointSet):
+    """The frame of the rows of ps that can bound r*, and their indices.
 
     Every center lies in the box, so none is farther from a point than
     its cap: the larger of |z| and, per box axis [A0, A1], max(x - A0,
@@ -77,30 +79,36 @@ def _capped(fr: IntFrame):
     level <= B, is no low site (r1 <= B) and no inner contact (it is
     farther than B from every center). Dropping it changes neither search.
 
-    B is taken over a stride sample of SAMPLE points, and the pass repeats
-    on the kept points while it halves them. The sub-frame shares U, nrm,
-    half and box with fr; with at most SAMPLE points fr comes back whole.
+    B is taken over a stride sample of SAMPLE rows, framed. A pass takes
+    the indices of the rows whose frame height is at most B straight from
+    the input's height column (mid - B // s <= z <= mid + B // s, in
+    ``FrameMap``'s terms), gathers those rows, and repeats on them while
+    it halves them. Only the rows kept at the end are framed, so every row
+    is framed only when no pass drops one, as with at most SAMPLE rows.
     """
-    idx = range(len(fr))
-    cols = fr.cols
+    fm = frame_map(ps)
+    cols = ps._scaled[1]
+    idx = range(len(ps))
     while len(idx) > SAMPLE:
-        *planar, Z = cols
-        step = len(Z) // SAMPLE
-        terms = [map(abs, Z[::step])]
-        for col, a0, a1 in zip(planar, fr.box[0::2], fr.box[1::2]):
-            terms += [map(sub, col[::step], repeat(a0)),
-                      map(sub, repeat(a1), col[::step])]
-        keep = list(map(min(map(max, *terms)).__ge__, map(abs, Z)))
-        m = keep.count(True)
-        if m == len(Z):
+        n = len(idx)
+        *planar, Z = fm.frame([col[::n // SAMPLE] for col in cols]).cols
+        terms = [map(abs, Z)]
+        for col, a0, a1 in zip(planar, fm.box[0::2], fm.box[1::2]):
+            terms += [map(sub, col, repeat(a0)), map(sub, repeat(a1), col)]
+        r = min(map(max, *terms)) // fm.s
+        lo, hi = fm.mid - r, fm.mid + r
+        keep = [i for i, z in enumerate(cols[fm.order[-1]]) if lo <= z <= hi]
+        if len(keep) == n:
             break
-        idx = list(compress(idx, keep))
-        cols = tuple(tuple(compress(col, keep)) for col in cols)
-        if 2 * m > len(Z):
+        idx, *cols = [_rows(seq, keep) for seq in (idx, *cols)]
+        if 2 * len(keep) > n:
             break
-    if cols is fr.cols:
-        return fr, idx
-    return IntFrame(fr.U, cols, fr.nrm, fr.half, fr.box), idx
+    return fm.frame(cols), idx
+
+
+def _rows(seq, idx):
+    """The items of seq at the (nonempty) indices idx, as a tuple."""
+    return itemgetter(*idx)(seq) if len(idx) > 1 else (seq[idx[0]],)
 
 
 def _last_feasible(levels, test):
@@ -178,19 +186,22 @@ def solve_voronoi_case(psn: PointSet | IntFrame, level: Scalar | None = None):
     low = list(map(top.__ge__, map(abs, Z)))
     if True not in low:
         return None, 0
-    axes = [(list(compress(col, low)), a0, a1)
-            for col, a0, a1 in zip(planar, fr.box[0::2], fr.box[1::2])]
+    # the distinct low sites by the first axis (the sweeps' sorts are then
+    # linear); for k = 1 the distinct values of the one column
+    cols = [compress(col, low) for col in planar]
+    cols = ([sorted(set(cols[0]))] if len(cols) == 1
+            else list(zip(*sorted(set(zip(*cols))))))
     # sites further from the domain than this bound are never nearest
-    # anywhere inside it, so dropping them changes no distance there
-    d_mid = min(map(max, zip(*[map(abs, map(sub, col, repeat((a0 + a1) // 2)))
-                               for col, a0, a1 in axes])))
-    cutoff = d_mid + max(a1 - a0 for _, a0, a1 in axes)
-    near = [map(range(a0 - cutoff, a1 + cutoff + 1).__contains__, col)
-            for col, a0, a1 in axes]
-    # by the first axis: the sweeps' sorts are linear
-    sites = sorted(set(compress(zip(*[col for col, _, _ in axes]),
-                                map(all, zip(*near)))))
-    cols = list(zip(*sites))
+    # anywhere inside it, so dropping them changes no distance there (the
+    # 0 gives max two arguments when k = 1)
+    spans = list(zip(fr.box[0::2], fr.box[1::2]))
+    d_mid = min(map(max, *[map(abs, map(sub, col, repeat((a0 + a1) // 2)))
+                           for col, (a0, a1) in zip(cols, spans)], repeat(0)))
+    cutoff = d_mid + max(a1 - a0 for a0, a1 in spans)
+    near = list(map(all, zip(*[map(range(a0 - cutoff, a1 + cutoff + 1)
+                                   .__contains__, col)
+                               for col, (a0, a1) in zip(cols, spans)])))
+    cols = [tuple(compress(col, near)) for col in cols]
 
     # Row i of an axis's matrix holds L[j] - L[i] for j past i, and row D
     # the doubled side distances; [a, b) is the part of a row strictly
@@ -225,35 +236,51 @@ def solve_voronoi_case(psn: PointSet | IntFrame, level: Scalar | None = None):
     return (fr.value(lo), tuple(map(fr.value, hit))), sweeps
 
 
-def _contacts(fr: IntFrame, center_planar: PlanarPoint, rstar: Scalar,
-              kept=None):
+def _contacts(ps: PointSet, kept, center_planar: PlanarPoint,
+              rstar: Scalar):
     """Points on the outer and on the inner cube, found on integers.
 
-    The solvers' centers and r* are frame integers: a center is a box
-    corner or a coverage witness, r* a point's distance. A point is at
-    distance v from the center (c, 0) exactly when some offset is +-v and
-    none is larger, so scans of the columns for c +- v find it.
-    No column holds a value outside its range, [A1 - half, A0 + half] on a
-    box axis [A0, A1] and [-half, half] on the last one, so a target there
-    is not scanned. Given ``_capped``'s (sub-frame, indices), the inner
-    contacts come from the kept points, which hold every point within r*.
+    The center is a point of the box, and kept is ``_capped``'s (frame,
+    indices): rows that hold every point within r* of it. The solvers'
+    centers and r* are frame integers: a center is a box corner or a
+    coverage witness, r* a point's distance.
+
+    No point is farther than half from a center of the box, and a point
+    is at half exactly when it is an extreme of the height column, or of
+    a box axis [A0, A1] at whose other end the center sits: the minimum
+    when c = A1, as c - half is then that minimum, the maximum when
+    c = A0. So the outer contacts are the touched extremes, scanned for in
+    the input's own columns.
+
+    A point is at distance v from the center (c, 0) exactly when some
+    offset is +-v and none is larger, so scans of the kept columns for
+    c +- v find the inner contacts. No column holds a value outside its
+    range, [A1 - half, A0 + half] on a box axis and [-half, half] on the
+    last one, so a target there is not scanned.
     """
+    fr, idx = kept
     h, box = fr.half, fr.box
+    _, src, mins, maxs = ps._scaled
+    *planar, last = fr.nrm.axis_order
+    centers = [int(c * fr.U) for c in center_planar]
+    ends = {(last, mins[last]), (last, maxs[last])}
+    for a, c, a0, a1 in zip(planar, centers, box[0::2], box[1::2]):
+        if c == a1:
+            ends.add((a, mins[a]))
+        if c == a0:
+            ends.add((a, maxs[a]))
+    outer = {i for a, v in ends for i in _positions(src[a], v)}
+
     ranges = [(a1 - h, a0 + h) for a0, a1 in zip(box[0::2], box[1::2])]
     ranges.append((-h, h))
-    centers = [int(c * fr.U) for c in center_planar] + [0]
-
-    def at(cols, v):
-        axes = list(zip(cols, centers))
-        hits = {i for (col, c), (lo, hi) in zip(axes, ranges)
-                for t in {c - v, c + v} if lo <= t <= hi
-                for i in _positions(col, t)}
-        return tuple(sorted(i for i in hits if all(abs(col[i] - c) <= v
-                                                   for col, c in axes)))
-
-    part, idx = kept or (fr, range(len(fr)))
-    inner = at(part.cols, int(rstar * fr.U))
-    return at(fr.cols, h), tuple(map(idx.__getitem__, inner))
+    axes = list(zip(fr.cols, centers + [0]))
+    v = int(rstar * fr.U)
+    hits = {i for (col, c), (lo, hi) in zip(axes, ranges)
+            for t in {c - v, c + v} if lo <= t <= hi
+            for i in _positions(col, t)}
+    inner = (idx[i] for i in hits if all(abs(col[i] - c) <= v
+                                         for col, c in axes))
+    return tuple(sorted(outer)), tuple(sorted(inner))
 
 
 def _positions(values, v) -> list[int]:
@@ -266,20 +293,15 @@ def _positions(values, v) -> list[int]:
         return out[1:]
 
 
-def _finish(fr: IntFrame, center_planar: PlanarPoint, rstar: Scalar, tag: str,
-            count: int, contacts, plateau_value: Scalar | None = None,
+def _finish(ps: PointSet, kept, center_planar: PlanarPoint, rstar: Scalar,
+            tag: str, count: int, plateau_value: Scalar | None = None,
             voronoi_value: Scalar | None = None) -> SolveResult:
+    fr = kept[0]
     center = fr.nrm.invert(lift(center_planar))
     shell = Shell(center, fr.value(fr.half), rstar)
-    return SolveResult(shell, rstar, tag, count, *contacts,
+    return SolveResult(shell, rstar, tag, count,
+                       *_contacts(ps, kept, center_planar, rstar),
                        plateau_value, voronoi_value)
-
-
-def _corner_shell(fr: IntFrame) -> SolveResult:
-    """Width-0 shell centered at the domain's low corner."""
-    c = tuple(fr.value(v) for v in fr.box[0::2])
-    rstar = fr.value(fr.half)
-    return _finish(fr, c, rstar, "plateau", 0, _contacts(fr, c, rstar))
 
 
 def _solve(ps: PointSet, d: int) -> SolveResult:
@@ -290,20 +312,21 @@ def _solve(ps: PointSet, d: int) -> SolveResult:
     leftmost optimal center."""
     if ps.dimension != d:
         raise UsageError(f"solve{d}d expects dimension {d}")
-    fr = int_frame(ps)
-    if len(fr) <= 2:
-        # one or two points always admit a width-0 shell
-        return _corner_shell(fr)
+    kept = _capped(ps)
+    fr = kept[0]
+    if len(ps) <= 2:
+        # one or two points always admit a width-0 shell: its center is
+        # the box's low corner
+        c = tuple(map(fr.value, fr.box[0::2]))
+        return _finish(ps, kept, c, fr.value(fr.half), "plateau", 0)
     # Neither regime comes back empty: no cube is active at the lowest
     # height, so that level is feasible, and the points at or below it
     # give the diagram at least one site.
-    kept = _capped(fr)
-    r1, c1 = solve_plateau_case(kept[0])
-    (r2, c2), count = solve_voronoi_case(kept[0], r1)
+    r1, c1 = solve_plateau_case(fr)
+    (r2, c2), count = solve_voronoi_case(fr, r1)
     rstar, c = (r1, c1) if r1 >= r2 else (r2, c2)
     tag = "plateau" if r1 > r2 else "voronoi" if r2 > r1 else "both"
-    return _finish(fr, c, rstar, tag, count,
-                   _contacts(fr, c, rstar, kept), r1, r2)
+    return _finish(ps, kept, c, rstar, tag, count, r1, r2)
 
 
 def solve3d(ps: PointSet) -> SolveResult:
@@ -320,7 +343,7 @@ def solve1d(ps: PointSet) -> SolveResult:
     # the frame centers the points, so the center is 0 there
     fr = int_frame(ps)
     inner = fr.value(min(map(abs, fr.cols[0])))
-    return _finish(fr, (), inner, "plateau", len(ps), _contacts(fr, (), inner))
+    return _finish(ps, (fr, range(len(fr))), (), inner, "plateau", len(ps))
 
 
 def solve(ps: PointSet) -> SolveResult:

@@ -2,7 +2,7 @@ import random
 import time
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import repeat
+from itertools import product, repeat
 from math import floor, log
 
 import pytest
@@ -11,8 +11,8 @@ from hypothesis import given, strategies as st
 from conftest import CUBE8, pts, rand_points
 from cubeshell import solver
 from cubeshell.errors import UnsupportedDimensionError
-from cubeshell.geometry import (PointSet, center_domain, int_frame,
-                                is_smallest_enclosing_cube, linf_dist,
+from cubeshell.geometry import (IntFrame, PointSet, center_domain, frame_map,
+                                int_frame, is_smallest_enclosing_cube, linf_dist,
                                 normalize, smallest_enclosing_box)
 from cubeshell.oracle import (exact_oracle_2d, exact_oracle_3d,
                               oracle_plateau_level, oracle_voronoi_level)
@@ -412,17 +412,75 @@ class TestContacts:
                 for v in (sh.outer_radius, sh.inner_radius))
             kinds.add("width 0" if res.width == 0 else
                       "r* = 0" if sh.inner_radius == 0 else "other")
-            # any center and radius, in the frame, at r = 0 too
+            # any center of the box and any radius, in the frame, at r = 0
+            # too: the points clamped into the box, and every box corner
             fr = int_frame(ps)
-            centers = [p[:-1] for p in fr] + [fr.box[0::2], fr.box[1::2]]
+            lows, highs = fr.box[0::2], fr.box[1::2]
+            centers = [tuple(map(min, map(max, p[:-1], lows), highs))
+                       for p in fr] + list(product(*zip(lows, highs)))
             rows = [tuple(map(fr.value, p)) for p in fr]
             for c in rng.sample(centers, min(4, len(centers))):
                 c = tuple(map(fr.value, c))
                 for v in (0, fr.value(fr.half), abs(rng.choice(rows)[0])):
-                    assert _contacts(fr, c, v) == tuple(
+                    assert _contacts(ps, (fr, range(len(fr))), c, v) == tuple(
                         _brute_at(rows, c + (0,), u)
                         for u in (fr.value(fr.half), v))
         assert kinds == {"width 0", "r* = 0", "other"}
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_outer_contacts_are_touched_extremes(self, rng, dim):
+        # the outer contacts are read off the input's column extremes:
+        # those of the height column, and on a box axis the minimum when
+        # the center is at the box's high end, the maximum at its low end
+        def family(k, n):
+            span = rng.randint(1, 4)
+            rows = [[F(rng.randint(-span, span), 2) for _ in range(dim)]
+                    for _ in range(n)]
+            if k == 0:
+                # every axis spans the same: the box is one point
+                for a in range(dim):
+                    rows[rng.randrange(n)][a] = F(-span, 2)
+                    rows[rng.randrange(n)][a] = F(span, 2)
+            elif k == 1 and dim == 3:
+                # one box axis as long as the height axis: it is degenerate
+                for row in rows:
+                    row[1] /= 2
+                rows[0][0], rows[0][2] = F(-span, 2), F(-span, 2)
+                rows[-1][0], rows[-1][2] = F(span, 2), F(span, 2)
+            elif k == 2:
+                # many rows on each extreme, repeated
+                rows += [[F(rng.choice((-span, span)), 2) for _ in range(dim)]
+                         for _ in range(n)]
+                rows += rows[:n]
+            return rows
+
+        sets = [pts(*family(k % 4, rng.randint(1, 2) if k % 5 == 0
+                                   else rng.randint(3, 30)))
+                for k in range(150)]
+        if dim == 2:
+            # uniform points on a grid of 1,601 values per axis reach both
+            # ends of both axes: the box is one point, at both ends at once
+            sets += [generate_points(5_000, 2, "uniform", s) for s in (2, 3)]
+        seen = set()
+        for ps in sets:
+            fr = int_frame(ps)
+            res = solve(ps)
+            sh = res.shell
+            assert (res.outer_contacts, res.inner_contacts) == _fraction_contacts(
+                ps, sh.center, sh.outer_radius, sh.inner_radius)
+            lows, highs = fr.box[0::2], fr.box[1::2]
+            seen.add(sum(a == b for a, b in zip(lows, highs)))
+            if len(ps) == 5_000:
+                assert lows == highs
+            # every corner puts the center at one end of every box axis
+            rows = [tuple(map(fr.value, p)) for p in fr]
+            for c in product(*zip(lows, highs)):
+                c = tuple(map(fr.value, c))
+                for v in (0, fr.value(fr.half), abs(rng.choice(rows)[-1])):
+                    assert _contacts(ps, (fr, range(len(fr))), c, v) == tuple(
+                        _brute_at(rows, c + (0,), u)
+                        for u in (fr.value(fr.half), v))
+        assert seen == set(range(dim))
 
 
 def _brute_at(ps, center, v):
@@ -438,25 +496,71 @@ class TestCapped:
         for k in range(2100):
             dim = 2 + k % 2
             ps = _capped_family(rng, rng.randint(65, 400), dim, k // 2 % 7)
-            res = solve(ps)
-            fr = int_frame(ps)
-            if dim == 3:
-                want = _staged_3d(fr)
-            else:
-                # solve2d with the frame left whole: no pass runs
-                monkeypatch.setattr(solver, "SAMPLE", len(fr))
-                want = solve2d(ps)
-                monkeypatch.undo()
-            assert res == want
-            c = [v * fr.U for v in fr.nrm.apply(res.shell.center)[:-1]]
-            assert (res.outer_contacts, res.inner_contacts) == tuple(
-                _brute_at(fr, (*c, 0), v * fr.U)
-                for v in (res.shell.outer_radius, res.shell.inner_radius))
-            sub, idx = _capped(fr)
-            assert set(res.inner_contacts) <= set(idx)
-            assert res.inner_level * fr.U <= min(map(_cap, fr, repeat(fr.box)))
-            kept_fewer += len(sub) < len(fr)
+            kept_fewer += _check_capped(ps, monkeypatch) < len(ps)
         assert kept_fewer >= 1000
+
+    def test_first_cut_edge_cases(self, rng, monkeypatch):
+        for dim in (2, 3):
+            for k in range(12):
+                # one low point, always in the stride sample, among points
+                # higher than its cap: exactly one row is kept
+                n = rng.randint(65, 300)
+                rows = [[F(rng.randint(-10, 10)) for _ in range(dim - 1)]
+                        + [F(rng.choice((-100, 100)))] for _ in range(n)]
+                low = n // solver.SAMPLE * rng.randrange(solver.SAMPLE)
+                rows[low] = [F(0)] * (dim - 1) + [F(rng.randint(-5, 5))]
+                assert _check_capped(pts(*rows), monkeypatch) == 1
+                # every point on the boundary of the bounding cube: every
+                # cap is the half side, so every row is kept
+                rows = [[F(rng.randint(-8, 8), 8) for _ in range(dim)]
+                        for _ in range(rng.randint(65, 300))]
+                for i, row in enumerate(rows):
+                    row[i % dim] = F(rng.choice((-1, 1)))
+                ps = pts(*rows)
+                assert _check_capped(ps, monkeypatch) == len(ps)
+                # a slab with two pins: all but the pins are kept
+                n = rng.randint(65, 300)
+                rows = [[F(rng.randint(-500, 500)) for _ in range(dim - 1)]
+                        + [F(rng.randint(-2, 2))] for _ in range(n - 2)]
+                rows += [[F(0)] * (dim - 1) + [F(s * 1000)] for s in (-1, 1)]
+                rng.shuffle(rows)
+                assert _check_capped(pts(*rows), monkeypatch) == n - 2
+                # SAMPLE rows: no pass; SAMPLE + 1 rows: one pass
+                n = solver.SAMPLE
+                ps = _capped_family(rng, n, dim, k % 7)
+                assert _check_capped(ps, monkeypatch) == n
+                _check_capped(_capped_family(rng, n + 1, dim, k % 7), monkeypatch)
+                # an odd midpoint: the kept rows are doubled into the frame
+                rows = [[F(rng.randint(-40, 40)) for _ in range(dim - 1)]
+                        + [F(rng.randint(-40, 41))] for _ in range(200)]
+                rows[0][-1], rows[1][-1] = F(-40), F(41)
+                ps = pts(*rows)
+                assert frame_map(ps).s == 2
+                assert _check_capped(ps, monkeypatch) < len(ps)
+
+    def test_frames_only_the_kept_rows(self, monkeypatch):
+        # no frame and no normalized set of every row is built; the
+        # spies see every IntFrame and every scaled set made
+        sizes = []
+        init, scaled_by = IntFrame.__init__, PointSet._scaled_by.__func__
+
+        def frame_spy(self, U, cols, *rest):
+            sizes.append(len(cols[0]))
+            init(self, U, cols, *rest)
+
+        def set_spy(cls, U, cols, lo, hi):
+            sizes.append(len(cols[0]))
+            return scaled_by(cls, U, cols, lo, hi)
+
+        for d in (2, 3):
+            for s in (1, 2, 3):
+                ps = generate_points(20_000, d, "uniform", s)
+                with monkeypatch.context() as m:
+                    m.setattr(IntFrame, "__init__", frame_spy)
+                    m.setattr(PointSet, "_scaled_by", classmethod(set_spy))
+                    solve(ps)
+                assert sizes and max(sizes) < 20_000
+                sizes.clear()
 
     def test_plateau_search_gets_the_kept_points(self, rng, monkeypatch):
         seen = []
@@ -476,6 +580,31 @@ class TestCapped:
             assert seen.pop() == len(ps)
         solve(generate_points(50, 3, "slab", 1))
         assert seen.pop() == 50
+
+
+def _check_capped(ps, monkeypatch):
+    """solve(ps) equals the solve of its whole frame, with contacts by
+    scan; returns how many rows ``_capped`` kept."""
+    res = solve(ps)
+    fr = int_frame(ps)
+    if ps.dimension == 3:
+        want = _staged_3d(fr)
+    else:
+        # solve2d with the frame left whole: no pass runs
+        monkeypatch.setattr(solver, "SAMPLE", len(fr))
+        want = solve2d(ps)
+        monkeypatch.undo()
+    assert res == want
+    c = [v * fr.U for v in fr.nrm.apply(res.shell.center)[:-1]]
+    assert (res.outer_contacts, res.inner_contacts) == tuple(
+        _brute_at(fr, (*c, 0), v * fr.U)
+        for v in (res.shell.outer_radius, res.shell.inner_radius))
+    sub, idx = _capped(ps)
+    assert list(sub) == [tuple(fr.cols[a][i] for a in range(ps.dimension))
+                         for i in idx]
+    assert set(res.inner_contacts) <= set(idx)
+    assert res.inner_level * fr.U <= min(map(_cap, fr, repeat(fr.box)))
+    return len(sub)
 
 
 def _cap(p, box):
@@ -670,7 +799,7 @@ def _envelope_2d(ps):
             if best_v is None or v > best_v or (v == best_v and c < best_c):
                 best_v, best_c = v, c
     rstar, center = fr.value(best_v), (fr.value(best_c),)
-    outer, inner = _contacts(fr, center, rstar)
+    outer, inner = _contacts(ps, (fr, range(len(fr))), center, rstar)
     shell_center = fr.nrm.invert(lift(center))
     return (shell_center, fr.value(fr.half), rstar, rstar, outer, inner)
 
