@@ -208,10 +208,6 @@ class Box(Record):
     def longest_side(self) -> Scalar:
         return max(self.sides, default=Fraction(0))
 
-    @property
-    def midpoint(self) -> Coords:
-        return tuple((a + b) / 2 for a, b in zip(self.lo, self.hi))
-
     def contains(self, p: Coords) -> bool:
         if len(p) != self.dimension:
             raise UsageError("point/box dimension mismatch")

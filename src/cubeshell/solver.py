@@ -11,12 +11,14 @@ input's height column, and frame only those rows; the searches, the low
 sites and the inner contacts see them alone. The outer contacts are the
 touched extremes of the input's own columns, found by ``tuple.index``
 scans. Both solvers are one function over the k = d - 1 free axes of the
-center box, which maximizes the inner radius there two ways, both driven
-by the one coverage decision (``uncovered``: a sweep over squares for
-k = 2, a scan over intervals for k = 1): a binary search over the plateau
-levels, and a sorted-matrix search over the low sites' critical radii
-(half a gap between two sites on one axis, or a site's distance to a box
-side), keeping whichever is larger. d = 1 is closed form.
+center box, which maximizes the inner radius there two ways and keeps
+whichever is larger. The two searches run one selection over sorted
+candidate rows (``_largest_feasible``), driven by the one coverage decision
+(``uncovered``: a sweep over squares for k = 2, a scan over intervals for
+k = 1): over the plateau levels, one row of sorted heights, and over the
+low sites' critical radii (half a gap between two sites on one axis, or a
+site's distance to a box side), a sorted matrix and a row per axis.
+d = 1 is closed form.
 """
 
 from __future__ import annotations
@@ -111,30 +113,49 @@ def _rows(seq, idx):
     return itemgetter(*idx)(seq) if len(idx) > 1 else (seq[idx[0]],)
 
 
-def _last_feasible(levels, test):
-    """(level, point) for the largest sorted level at which the monotone
-    test finds a point; None if it finds none at any level."""
-    lo, hi = 0, len(levels) - 1
-    best = None
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        hit = test(levels[mid])
-        if hit is not None:
-            best, lo = (levels[mid], hit), mid + 1
+def _largest_feasible(rows, test):
+    """(c, hit, tests): the largest candidate c at which the monotone test
+    finds a point, that hit (both None if there is none) and the tests run.
+
+    Row [L, v, a, b], L sorted, holds the candidates L[j] - v, a <= j < b,
+    and is narrowed in place: a sorted matrix is the rows [L, L[i], i + 1,
+    len(L)], a sorted list the one row [L, 0, 0, len(L)]. After
+    Frederickson and Johnson, each round tests the weighted median of the
+    rows' medians and bisects every row to the outcome. The rows whose
+    median lies on the dropped side hold half the weight, and each drops
+    half its entries, so a round drops a quarter of the candidates and m
+    of them take O(log m) tests; one row takes at most ceil(log2(m + 1)).
+    """
+    best = hit = None
+    tests = 0
+    while rows := [row for row in rows if row[2] < row[3]]:
+        meds = sorted((L[(a + b) // 2] - v, b - a) for L, v, a, b in rows)
+        total = sum(wt for _, wt in meds)
+        acc = 0
+        for cand, wt in meds:
+            acc += wt
+            if 2 * acc >= total:
+                break
+        got = test(cand)
+        tests += 1
+        if got is not None:
+            best, hit = cand, got
+            for row in rows:
+                row[2] = bisect_right(row[0], row[1] + cand, row[2], row[3])
         else:
-            hi = mid - 1
-    return best
+            for row in rows:
+                row[3] = bisect_left(row[0], row[1] + cand, row[2], row[3])
+    return best, hit, tests
 
 
 def solve_plateau_case(psn: PointSet | IntFrame):
     """Largest height level at which the decision procedure still says yes.
 
     psn is a normalized point set of dimension 2 or 3, or its IntFrame.
-    Monotonicity of the decision in the radius makes the binary search over
-    the sorted distinct levels valid. The point indices are sorted by
-    height once, so the cubes active at a level are a prefix of that order.
-    Returns (level, center); the lowest level is always feasible, since no
-    cube is active there.
+    The points are sorted by height once, so the cubes active at a level
+    are a prefix of that order, and the heights are the one row of
+    candidates that ``_largest_feasible`` searches. Returns (level,
+    center); the lowest level is feasible, as no cube is active there.
     """
     fr = _frame_of(psn)
     *planar, Z = fr.cols
@@ -147,7 +168,7 @@ def solve_plateau_case(psn: PointSet | IntFrame):
         k = bisect_left(heights, h)
         return uncovered([col[:k] for col in cols], h, fr.box)
 
-    level, hit = _last_feasible(sorted(set(heights)), test)
+    level, hit, _ = _largest_feasible([[heights, 0, 0, len(heights)]], test)
     return fr.value(level), tuple(map(fr.value, hit))
 
 
@@ -171,13 +192,11 @@ def solve_voronoi_case(psn: PointSet | IntFrame, level: Scalar | None = None):
 
     At the optimum some axis pins the center from both sides, by two
     sites or by a site and the far box side; else moving it away from
-    its nearest sites would raise all their distances. So r is half the
-    gap between two site coordinates on one axis, or a site's distance
-    X1 - x (x <= X1) or x - X0 (x >= X0) to a box side. Per axis, these
-    form a sorted matrix and one sorted row. A Frederickson-Johnson style
-    selection tests the weighted median of the remaining rows' medians
-    with one sweep per round, dropping at least a quarter of the
-    entries, so O(log m) sweeps suffice for m sites.
+    its nearest sites would raise all their distances. So 2r is the gap
+    between two site coordinates on one axis, or a site's doubled
+    distance 2(X1 - x) (x <= X1) or 2(x - X0) (x >= X0) to a box side.
+    Per axis, these form a sorted matrix and one sorted row, which
+    ``_largest_feasible`` searches in O(log m) sweeps for m sites.
     """
     fr = _frame_of(psn)
     *planar, Z = fr.cols
@@ -204,36 +223,17 @@ def solve_voronoi_case(psn: PointSet | IntFrame, level: Scalar | None = None):
     cols = [tuple(compress(col, near)) for col in cols]
 
     # Row i of an axis's matrix holds L[j] - L[i] for j past i, and row D
-    # the doubled side distances; [a, b) is the part of a row strictly
-    # between 2*lo and 2*hi. All are even, so each candidate is an integer.
+    # the doubled side distances. All are even, so each r is an integer.
     rows = []
     for coords, c0, c1 in zip(cols, fr.box[0::2], fr.box[1::2]):
         L = sorted(set(coords))
         D = sorted({v for c in L for v in (2 * (c1 - c), 2 * (c - c0)) if v >= 0})
         rows += [[L, L[i], i + 1, len(L)] for i in range(len(L) - 1)]
         rows.append([D, 0, 0, len(D)])
-    lo, hit, sweeps = 0, None, 0
-    while rows:
-        meds = sorted((L[(a + b) // 2] - v, b - a) for L, v, a, b in rows)
-        total = sum(wt for _, wt in meds)
-        acc = 0
-        for diff, wt in meds:
-            acc += wt
-            if 2 * acc >= total:
-                break
-        r = diff // 2
-        got = uncovered(cols, r, fr.box)
-        sweeps += 1
-        if got is not None:
-            lo, hit = r, got
-            for row in rows:
-                row[2] = bisect_right(row[0], row[1] + diff, row[2], row[3])
-        else:
-            for row in rows:
-                row[3] = bisect_left(row[0], row[1] + diff, row[2], row[3])
-        rows = [row for row in rows if row[2] < row[3]]
-    # r* is itself a candidate, and feasible, so some sweep set hit
-    return (fr.value(lo), tuple(map(fr.value, hit))), sweeps
+    gap, hit, sweeps = _largest_feasible(
+        rows, lambda gap: uncovered(cols, gap // 2, fr.box))
+    # r* is itself a candidate, and feasible, so some sweep hit
+    return (fr.value(gap // 2), tuple(map(fr.value, hit))), sweeps
 
 
 def _contacts(ps: PointSet, kept, center_planar: PlanarPoint,

@@ -2,8 +2,9 @@
 
 Exact values are converted to floats only here, at the drawing boundary.
 For d = 3 the figure shows the normalized projections, the center domain,
-the nearest-site diagram edges, and the projected shell; lower dimensions
-drop the parts that do not exist there.
+the boundary of the open squares that the points lower than r* cut from
+the center plane at r* (the optimal center lies in none of them), and the
+projected shell; lower dimensions drop the parts that do not exist there.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Iterable, Sequence
 
 from .geometry import PointSet, center_domain, normalize
 from .solver import SolveResult, solve
-from .voronoi import VoronoiDiagram, build_voronoi, make_sites
+from .squares import union_at
 
 _SIZE = 640
 
@@ -93,12 +94,9 @@ def figure(ps: PointSet) -> str:
     dot_r = _f(span) * 0.012
 
     if ps.dimension == 3:
-        sites = make_sites(sorted({(p[0], p[1]) for p in psn}))
-        if len(sites) > 1:
-            vd: VoronoiDiagram = build_voronoi(sites)
-            for edge in vd.edges:
-                # frame-length edges only clip at the view, never widen it
-                canvas.polyline(edge.chain, "#8ab4e8", fit=False)
+        for edge in union_at(psn, result.inner_level)[1].edges:
+            # squares past the points only clip at the view, never widen it
+            canvas.polyline(edge, "#8ab4e8", fit=False)
         box = dom.box
         canvas.rect(box.lo[0], box.lo[1], box.hi[0], box.hi[1],
                     "#999999", dash="4 3")

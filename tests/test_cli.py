@@ -18,7 +18,7 @@ from cubeshell.geometry import PointSet, center_domain, normalize, point_set
 from cubeshell.pointio import (generate_points, parse_points, write_points)
 from cubeshell.rational import format_decimal, format_ratio, parse_scalar
 from cubeshell.solver import solve
-from cubeshell.squares import clip_ball, decide, union_of_squares
+from cubeshell.squares import clip_ball, decide, union_at, union_of_squares
 from cubeshell.svgfig import figure
 
 F = Fraction
@@ -505,3 +505,30 @@ class TestFigure:
     def test_lower_dimensions_render(self):
         assert "<svg" in figure(pts((0, 0), (4, 1), (2, 5)))
         assert "<svg" in figure(pts((0,), (9,), (4,)))
+
+    def test_draws_the_squares_at_r_star(self):
+        # the boundary of the squares the decision tests at r*, edge by edge
+        ps = generate_points(60, 3, "slab", 4)
+        rstar = solve(ps).inner_level
+        assert rstar > 0
+        edges = union_at(normalize(ps)[0], rstar)[1].edges
+        assert edges
+        assert figure(ps).count('stroke="#8ab4e8"') == len(edges)
+
+    def test_render_loads_no_diagram_builder(self, tmp_path):
+        path = tmp_path / "points.txt"
+        path.write_text(write_points(generate_points(300, 3, "slab", 1)))
+        svg = tmp_path / "out.svg"
+        script = (
+            "import sys\n"
+            "import cubeshell.cli\n"
+            f"code = cubeshell.cli.main(['render', {str(path)!r}, "
+            f"'--svg', {str(svg)!r}])\n"
+            "print(code, 'cubeshell.voronoi' in sys.modules)\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "False"]
+        assert "<polyline" in svg.read_text()

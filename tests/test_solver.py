@@ -3,7 +3,7 @@ import time
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import product, repeat
-from math import floor, log
+from math import ceil, floor, log, log2
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,15 +18,77 @@ from cubeshell.oracle import (exact_oracle_2d, exact_oracle_3d,
                               oracle_plateau_level, oracle_voronoi_level)
 from cubeshell.pointio import generate_points
 from cubeshell.shell import Shell, inner_radius_at, lift, shell_encloses
-from cubeshell.solver import (SolveResult, _capped, _contacts, solve, solve1d,
-                              solve2d, solve3d, solve_plateau_case,
-                              solve_voronoi_case)
+from cubeshell.solver import (SolveResult, _capped, _contacts,
+                              _largest_feasible, solve, solve1d, solve2d,
+                              solve3d, solve_plateau_case, solve_voronoi_case)
 from cubeshell.squares import uncovered_scaled
 from cubeshell.voronoi import build_voronoi, make_sites, vd_candidates_in_rect
 
 F = Fraction
 
 coord = st.fractions(min_value=-30, max_value=30, max_denominator=8)
+
+
+class TestLargestFeasible:
+    """The one selection both regime searches run, against a brute force."""
+
+    @staticmethod
+    def select(rows, cut):
+        """_largest_feasible under the test "candidate <= cut", and the
+        candidates it tested."""
+        tested = []
+
+        def test(c):
+            tested.append(c)
+            return ("hit", c) if c <= cut else None
+
+        return _largest_feasible(rows, test), tested
+
+    @staticmethod
+    def sorted_row(rng, m):
+        return sorted(rng.randint(-20, 20) for _ in range(m))
+
+    def check(self, rng, rows):
+        cands = [L[j] - v for L, v, a, b in rows for j in range(a, b)]
+        cut = rng.choice(cands) if cands and rng.random() < 0.5 else (
+            rng.randint(-45, 45))
+        (best, hit, tests), tested = self.select([list(r) for r in rows], cut)
+        want = max((c for c in cands if c <= cut), default=None)
+        assert best == want
+        assert hit == (None if want is None else ("hit", want))
+        assert tests == len(tested) and set(tested) <= set(cands)
+        # each test drops at least a quarter of the candidates left
+        assert tests <= (log(len(cands)) / log(4 / 3) + 1 if cands else 0)
+        return tests
+
+    def test_random_rows(self, rng):
+        for _ in range(400):
+            rows = []
+            for _ in range(rng.randint(1, 6)):
+                L = self.sorted_row(rng, rng.randint(0, 12))
+                a = rng.randint(0, len(L))
+                rows.append([L, rng.randint(-5, 5), a,
+                             rng.randint(a, len(L))])
+            self.check(rng, rows)
+
+    def test_sorted_matrix(self, rng):
+        for _ in range(300):
+            L = sorted(set(self.sorted_row(rng, rng.randint(1, 15))))
+            rows = [[L, L[i], i + 1, len(L)] for i in range(len(L) - 1)]
+            D = self.sorted_row(rng, rng.randint(0, 6))
+            self.check(rng, rows + [[D, 0, 0, len(D)]])
+
+    def test_one_row_is_a_binary_search(self, rng):
+        for m in list(range(0, 40)) + [100, 1000, 1023, 1024]:
+            for _ in range(5):
+                L = self.sorted_row(rng, m)
+                tests = self.check(rng, [[L, 0, 0, m]])
+                assert tests <= ceil(log2(m + 1))
+
+    def test_empty_rows_run_no_test(self):
+        L = [1, 2, 3]
+        assert self.select([[L, 0, 2, 2], [L, 1, 3, 3]], 5) == (
+            (None, None, 0), [])
 
 
 class TestPlateauCase:
