@@ -5,20 +5,18 @@ normalized by a map read off the input's column extremes (FrameMap);
 values become rationals only in the result. The frame holds one column
 per axis, and the O(n) passes run column by column in C-level
 ``map``/``sorted``/``compress`` calls. Before either search, the d = 2
-and d = 3 solvers select the rows no higher than an upper bound on r*
-(``_capped``), on uniform input 1 to 15% of them, straight from the
-input's height column, and frame only those rows; the searches, the low
-sites and the inner contacts see them alone. The outer contacts are the
-touched extremes of the input's own columns, found by ``tuple.index``
-scans. Both solvers are one function over the k = d - 1 free axes of the
-center box, which maximizes the inner radius there two ways and keeps
-whichever is larger. The two searches run one selection over sorted
-candidate rows (``_largest_feasible``), driven by the one coverage decision
+and d = 3 solvers bound r* by B (``_capped``): the heights |z| <= B are
+the plateau's candidates, and only their rows within B + L of the center
+box on every box axis (L its longest side), on uniform input a few
+dozen, are framed for the searches and the inner contacts. That is exact
+as r* <= B and the diagram search keeps no site farther than r2 + L from
+the box. The outer contacts are the touched extremes of the input. Both
+solvers are one function over the k = d - 1 free axes of the center box,
+which maximizes the inner radius there two ways and keeps the larger.
+The two searches run one selection over sorted candidate rows
+(``_largest_feasible``), driven by the one coverage decision
 (``uncovered``: a sweep over squares for k = 2, a scan over intervals for
-k = 1): over the plateau levels, one row of sorted heights, and over the
-low sites' critical radii (half a gap between two sites on one axis, or a
-site's distance to a box side), a sorted matrix and a row per axis.
-d = 1 is closed form.
+k = 1). d = 1 is closed form.
 """
 
 from __future__ import annotations
@@ -71,41 +69,49 @@ def _frame_of(psn: PointSet | IntFrame) -> IntFrame:
 
 
 def _capped(ps: PointSet):
-    """The frame of the rows of ps that can bound r*, and their indices.
+    """The rows of ps that can bound r*, framed, their indices, and the
+    plateau's candidate heights.
 
-    Every center lies in the box, so none is farther from a point than
-    its cap: the larger of |z| and, per box axis [A0, A1], max(x - A0,
-    A1 - x). So r* <= B for B the least cap over any of the points. Above
-    B, the open square of the point with cap B swallows the box, so every
-    level there is infeasible; and a point with |z| > B is active at no
-    level <= B, is no low site (r1 <= B) and no inner contact (it is
-    farther than B from every center). Dropping it changes neither search.
+    No center is farther from a point than its cap: the larger of |z|
+    and, per box axis [A0, A1], max(x - A0, A1 - x). So r* <= B, the
+    least cap, and every level above B is infeasible. The candidates are
+    the heights |z| <= B; only their rows within B + L of the box on every
+    axis (L its longest side) are framed: a row farther than B from it is
+    active at no level <= B and is no inner contact, and the diagram
+    search keeps only the sites within d + L of it, d <= r2 <= B the
+    nearest site's distance to its midpoint.
 
-    B is taken over a stride sample of SAMPLE rows, framed. A pass takes
-    the indices of the rows whose frame height is at most B straight from
-    the input's height column (mid - B // s <= z <= mid + B // s, in
-    ``FrameMap``'s terms), gathers those rows, and repeats on them while
-    it halves them. Only the rows kept at the end are framed, so every row
-    is framed only when no pass drops one, as with at most SAMPLE rows.
+    B is the least cap over a stride sample of SAMPLE rows. A pass keeps
+    the rows in both windows and repeats on them while it halves them.
+    heights is None when the framed rows hold every candidate.
     """
     fm = frame_map(ps)
-    cols = ps._scaled[1]
-    idx = range(len(ps))
+    _, cols, mins, maxs = ps._scaled
+    spans = list(zip(fm.box[0::2], fm.box[1::2]))
+    L = max(a1 - a0 for a0, a1 in spans)
+    s, mid, Z = fm.s, fm.mid, cols[fm.order[-1]]
+    idx, low = range(len(ps)), None
     while len(idx) > SAMPLE:
-        n = len(idx)
-        *planar, Z = fm.frame([col[::n // SAMPLE] for col in cols]).cols
-        terms = [map(abs, Z)]
-        for col, a0, a1 in zip(planar, fm.box[0::2], fm.box[1::2]):
+        m = len(idx)
+        *planar, Zs = fm.frame([_rows(col, idx[::m // SAMPLE])
+                                for col in cols]).cols
+        terms = [map(abs, Zs)]
+        for col, (a0, a1) in zip(planar, spans):
             terms += [map(sub, col, repeat(a0)), map(sub, repeat(a1), col)]
-        r = min(map(max, *terms)) // fm.s
-        lo, hi = fm.mid - r, fm.mid + r
-        keep = [i for i, z in enumerate(cols[fm.order[-1]]) if lo <= z <= hi]
-        if len(keep) == n:
+        B = min(map(max, *terms))
+        lo, hi = mid - B // s, mid + B // s
+        idx = [i for i in idx if lo <= Z[i] <= hi]
+        low = idx if low is None else [i for i in low if lo <= Z[i] <= hi]
+        for a, (a0, a1) in zip(fm.order, spans):
+            # keep s * x in [a0 - B - L, a1 + B + L], if some x lies outside
+            lo, hi, col = -((B + L - a0) // s), (a1 + B + L) // s, cols[a]
+            if lo > mins[a] or hi < maxs[a]:
+                idx = [i for i in idx if lo <= col[i] <= hi]
+        if 2 * len(idx) > m:
             break
-        idx, *cols = [_rows(seq, keep) for seq in (idx, *cols)]
-        if 2 * len(keep) > n:
-            break
-    return fm.frame(cols), idx
+    heights = (None if low is None or len(low) == len(idx)
+               else sorted(s * abs(Z[i] - mid) for i in low))
+    return fm.frame([_rows(col, idx) for col in cols]), idx, heights
 
 
 def _rows(seq, idx):
@@ -148,24 +154,25 @@ def _largest_feasible(rows, test):
     return best, hit, tests
 
 
-def solve_plateau_case(psn: PointSet | IntFrame):
+def solve_plateau_case(psn: PointSet | IntFrame, heights=None):
     """Largest height level at which the decision procedure still says yes.
 
     psn is a normalized point set of dimension 2 or 3, or its IntFrame.
-    The points are sorted by height once, so the cubes active at a level
-    are a prefix of that order, and the heights are the one row of
-    candidates that ``_largest_feasible`` searches. Returns (level,
-    center); the lowest level is feasible, as no cube is active there.
+    The cubes active at a level are a prefix of the points' height order,
+    and the candidates are heights, sorted frame integers, by default the
+    points' own. Returns (level, center); the lowest level is feasible,
+    as no cube is active there.
     """
     fr = _frame_of(psn)
     *planar, Z = fr.cols
     abs_heights = list(map(abs, Z))
     order = sorted(range(len(Z)), key=abs_heights.__getitem__)
-    heights, *cols = [list(map(col.__getitem__, order))
-                      for col in (abs_heights, *planar)]
+    own, *cols = [list(map(col.__getitem__, order))
+                  for col in (abs_heights, *planar)]
+    heights = own if heights is None else heights
 
     def test(h):
-        k = bisect_left(heights, h)
+        k = bisect_left(own, h)
         return uncovered([col[:k] for col in cols], h, fr.box)
 
     level, hit, _ = _largest_feasible([[heights, 0, 0, len(heights)]], test)
@@ -312,7 +319,7 @@ def _solve(ps: PointSet, d: int) -> SolveResult:
     leftmost optimal center."""
     if ps.dimension != d:
         raise UsageError(f"solve{d}d expects dimension {d}")
-    kept = _capped(ps)
+    *kept, heights = _capped(ps)
     fr = kept[0]
     if len(ps) <= 2:
         # one or two points always admit a width-0 shell: its center is
@@ -322,7 +329,7 @@ def _solve(ps: PointSet, d: int) -> SolveResult:
     # Neither regime comes back empty: no cube is active at the lowest
     # height, so that level is feasible, and the points at or below it
     # give the diagram at least one site.
-    r1, c1 = solve_plateau_case(fr)
+    r1, c1 = solve_plateau_case(fr, heights)
     (r2, c2), count = solve_voronoi_case(fr, r1)
     rstar, c = (r1, c1) if r1 >= r2 else (r2, c2)
     tag = "plateau" if r1 > r2 else "voronoi" if r2 > r1 else "both"

@@ -628,20 +628,65 @@ class TestCapped:
         seen = []
         search = solver.solve_plateau_case
         monkeypatch.setattr(solver, "solve_plateau_case",
-                            lambda fr: seen.append(len(fr)) or search(fr))
-        # a 64-point sample's least cap keeps about 64 ** (-1 / 3), a
-        # quarter, of uniform heights; here 925, 1,901 and 4,080 points
+                            lambda fr, heights: seen.append((fr, heights))
+                            or search(fr, heights))
+        # the framed rows, and as candidates every height |z| <= B: a
+        # 64-point sample's least cap keeps about 64 ** (-1 / 3), a
+        # quarter, of uniform heights, and a second pass fewer
         for s in (1, 2, 3):
-            solve(generate_points(20_000, 3, "uniform", s))
-            assert seen.pop() < 20_000 // 4
-        # at most SAMPLE points: the whole frame, and no pass
+            ps = generate_points(20_000, 3, "uniform", s)
+            solve(ps)
+            fr, heights = seen.pop()
+            sub, _, want = _capped(ps)
+            assert (fr, heights) == (sub, want)
+            assert len(fr) < len(heights) < 20_000 // 4
+        # at most SAMPLE points: the whole frame, no pass, own heights
         for k in range(140):
             n = 64 - k % 62
             ps = _capped_family(rng, n, 3, k % 7)
             solve(ps)
-            assert seen.pop() == len(ps)
+            fr, heights = seen.pop()
+            assert (len(fr), heights) == (len(ps), None)
         solve(generate_points(50, 3, "slab", 1))
-        assert seen.pop() == 50
+        fr, heights = seen.pop()
+        assert (len(fr), heights) == (50, None)
+
+    def test_searches_get_only_rows_within_reach(self, monkeypatch):
+        # Each pass keeps the rows with |z| <= B that lie within B + L of
+        # the box, and passes repeat while they halve the rows: here both
+        # searches get 9, 2 and 1 rows, against 925, 1,901 and 4,080 when
+        # a pass keeps every row with |z| <= B
+        seen = []
+        plateau, diagram = solver.solve_plateau_case, solver.solve_voronoi_case
+        monkeypatch.setattr(solver, "solve_plateau_case",
+                            lambda fr, *rest: seen.append(len(fr))
+                            or plateau(fr, *rest))
+        monkeypatch.setattr(solver, "solve_voronoi_case",
+                            lambda fr, r1: seen.append(len(fr))
+                            or diagram(fr, r1))
+        for s in (1, 2, 3):
+            solve(generate_points(20_000, 3, "uniform", s))
+            assert len(seen) == 2 and max(seen) <= solver.SAMPLE
+            seen.clear()
+
+    def test_low_site_beyond_b_of_a_wide_box(self):
+        # The box is [-20, 20]^2 (L = 40) and the origin's cap, B = 20, is
+        # the least. The low site (50, 0, 0) lies 30 from the box: beyond
+        # B, within B + L. No square meets the box from there at a level
+        # <= B, but the diagram search keeps it (its nearest site is the
+        # origin, so it keeps the sites within 0 + L of the box) and adds
+        # its gap and side distance to the candidates: dropping it changes
+        # candidate_count. The other rows are higher than B.
+        rows = [(0, 0, 0), (50, 0, 0), (0, 0, 100), (0, 0, -100)]
+        rows += [(sx * 80, sy * 80, sz * 90) for sx in (-1, 1)
+                 for sy in (-1, 1) for sz in (-1, 1)]
+        rows += [((7 * k) % 161 - 80, (13 * k) % 161 - 80, 95 * (-1) ** k)
+                 for k in range(60)]
+        ps = pts(*rows)
+        fr = int_frame(ps)
+        assert fr.box == (-40, 40, -40, 40)  # U = 2
+        assert solve(ps) == _staged_3d(fr)
+        assert _capped(ps)[1:] == ([0, 1], None)
 
 
 def _check_capped(ps, monkeypatch):
@@ -661,9 +706,26 @@ def _check_capped(ps, monkeypatch):
     assert (res.outer_contacts, res.inner_contacts) == tuple(
         _brute_at(fr, (*c, 0), v * fr.U)
         for v in (res.shell.outer_radius, res.shell.inner_radius))
-    sub, idx = _capped(ps)
+    sub, idx, heights = _capped(ps)
     assert list(sub) == [tuple(fr.cols[a][i] for a in range(ps.dimension))
                          for i in idx]
+    n, spans = len(fr), list(zip(fr.box[0::2], fr.box[1::2]))
+    if n <= solver.SAMPLE:
+        assert (list(idx), heights) == (list(range(n)), None)
+    else:
+        # every framed row lies in the first pass's windows, and the
+        # candidates are the heights |z| <= t for some t <= B, the framed
+        # rows' among them (their own when heights is None)
+        B = min(map(_cap, list(fr)[::n // solver.SAMPLE], repeat(fr.box)))
+        reach = B + max(a1 - a0 for a0, a1 in spans)
+        assert all(abs(p[-1]) <= B and all(a0 - reach <= x <= a1 + reach
+                                           for x, (a0, a1) in zip(p, spans))
+                   for p in sub)
+        want = sorted(abs(z) for z in fr.cols[-1] if abs(z) <= B)
+        own = sorted(map(abs, sub.cols[-1]))
+        got = own if heights is None else heights
+        assert got == want[:len(got)] and want[len(got):][:1] != got[-1:]
+        assert set(own) <= set(got)
     assert set(res.inner_contacts) <= set(idx)
     assert res.inner_level * fr.U <= min(map(_cap, fr, repeat(fr.box)))
     return len(sub)
@@ -764,7 +826,8 @@ class TestSolve2d:
         seen = []
         plateau, diagram = solver.solve_plateau_case, solver.solve_voronoi_case
         monkeypatch.setattr(solver, "solve_plateau_case",
-                            lambda fr: seen.append("plateau") or plateau(fr))
+                            lambda fr, heights: seen.append("plateau")
+                            or plateau(fr, heights))
         monkeypatch.setattr(solver, "solve_voronoi_case",
                             lambda fr, r1: seen.append("voronoi")
                             or diagram(fr, r1))

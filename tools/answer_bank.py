@@ -13,6 +13,11 @@ raised. The banks:
 - ``random-1d``, ``random-2d``, ``random-3d``: 1,000 small sets each, in
   turn with mixed denominators, on a small integer grid (many ties), as
   a slab pinned by two far points, and with repeated rows;
+- ``capped-2d``, ``capped-3d``: 210 sets each of 65 to 400 points, in
+  turn with mixed denominators, on a coarse grid, as a pinned slab, at
+  heights +-h/2 under two pins, sorted by height up or down, and with
+  repeated rows; their planar axes span half to twice the height axis,
+  so each solve runs a cap pass, on wide and on narrow center boxes;
 - ``large``: ``generate_points`` uniform at 20,000 and slab at 3,000
   points, in 2D and 3D, seeds 1 and 2;
 - ``timed-W``: the sixteen timed instances of benchmark workload W for
@@ -68,6 +73,42 @@ def _random_rows(rng: random.Random, family: int, d: int):
     return [list(rng.choice(base)) for _ in range(n)]
 
 
+def _capped_rows(rng: random.Random, family: int, d: int):
+    """65 to 400 rows, more than the solver's cap sample, so every set runs
+    a cap pass; the planar axes span half to twice the height axis, so the
+    center box is wide or narrow and many points lie outside it."""
+    n = rng.randint(65, 400)
+    h = 20  # the height axis spans [-h, h]
+    w = rng.randint(h // 2, 2 * h)  # the planar axes span [-w, w]
+
+    def planar(q):
+        return [Fraction(rng.randint(-w * q, w * q), q) for _ in range(d - 1)]
+
+    if family == 0:  # mixed denominators
+        return [planar(rng.randint(1, 7))
+                + [Fraction(rng.randint(-7 * h, 7 * h), 7)] for _ in range(n)]
+    if family == 1:  # a coarse grid: ties everywhere
+        return [planar(1) + [Fraction(rng.randint(-h, h))] for _ in range(n)]
+    if family == 2:  # a slab: two far pins, the rest low
+        rows = [planar(16) + [Fraction(s * h)] for s in (-1, 1)]
+        rows += [planar(16) + [Fraction(rng.randint(-2, 2), 16)]
+                 for _ in range(n - 2)]
+        rng.shuffle(rows)
+        return rows
+    if family == 3:  # two pins, the rest at heights +-h/2
+        rows = [[Fraction(0)] * (d - 1) + [Fraction(s * h)] for s in (-1, 1)]
+        return rows + [planar(2) + [Fraction(rng.choice((-h, h)), 2)]
+                       for _ in range(n - 2)]
+    if family in (4, 5):  # sorted by height, up or down
+        rows = [planar(4) + [Fraction(rng.randint(-4 * h, 4 * h), 4)]
+                for _ in range(n)]
+        rows.sort(key=lambda r: abs(r[-1]), reverse=family == 5)
+        return rows
+    base = [planar(rng.randint(1, 3)) + [Fraction(rng.randint(-h, h))]
+            for _ in range(max(2, n // 3))]  # repeated rows
+    return base + [list(rng.choice(base)) for _ in range(n - len(base))]
+
+
 def _digest(answers) -> tuple[int, str]:
     h = hashlib.sha256()
     count = 0
@@ -96,6 +137,11 @@ def banks(tmp: Path):
         yield f"random-{d}d", (
             _answer(solve, point_set(_random_rows(rng, k % 4, d)))
             for k in range(1000))
+    for d in (2, 3):
+        rng = random.Random(2000 + d)
+        yield f"capped-{d}d", (
+            _answer(solve, point_set(_capped_rows(rng, k % 7, d)))
+            for k in range(210))
     yield "large", (
         _answer(solve, generate_points(n, d, dist, seed))
         for dist, n in (("uniform", 20_000), ("slab", 3_000))
