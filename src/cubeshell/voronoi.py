@@ -1,9 +1,11 @@
-"""Planar Chebyshev nearest-site diagram with exact rational coordinates.
+"""Planar Chebyshev nearest-site diagram on an integer frame.
 
-Cells are built one site at a time by clipping a bounding frame against
-pairwise dominance regions. A dominance region is not convex, but it always
-splits into at most two convex clip chains, so every cell is kept as a
-small set of convex integer polygons. The one-dimensional skeleton is then
+The diagram works on its sites' integer frame scaled by 8 more, so every
+clip crossing is an integer, and keeps that scale U. Cells are built one
+site at a time by clipping a bounding frame against pairwise dominance
+regions. A dominance region is not convex, but it always splits into at
+most two convex clip chains, so every cell is kept as a small set of
+convex integer polygons. The one-dimensional skeleton is then
 recovered by orientation cancellation: each polygon contributes signed
 darts on a small family of lines (axis-parallel and 45-degree), seams
 between pieces of the same cell cancel, and the survivors pair up across
@@ -14,12 +16,16 @@ diagonal pairs) are split by the conventional tie-break lines, keeping
 every edge one-dimensional; nearest-site sets reported for vertices and
 candidates are recomputed by full scan, so they are exact regardless of
 the tie-break assignment.
+
+Queries scale their point or box by U times the lcm of its denominators
+and test it with integer cross products. Only the records hold rationals:
+the sites, vertices, edges and returned candidate points.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from .errors import PreconditionError, UsageError
 from .geometry import Box, CenterDomain, PlanarPoint, Record, point_set
@@ -52,6 +58,8 @@ class VdEdge(Record):
 
 
 class VdCell(Record):
+    """A site's cell as convex pieces in frame integers (divide by U)."""
+
     __slots__ = ("site_index", "pieces")
 
     def __init__(self, site_index: int,
@@ -60,11 +68,13 @@ class VdCell(Record):
 
 
 class VoronoiDiagram(Record):
-    __slots__ = ("sites", "vertices", "edges", "cells")
+    """Rational sites, vertices and edges; cells in frame integers over U."""
+
+    __slots__ = ("sites", "vertices", "edges", "cells", "U")
 
     def __init__(self, sites: tuple[Site, ...], vertices: tuple[VdVertex, ...],
-                 edges: tuple[VdEdge, ...], cells: tuple[VdCell, ...]):
-        self._fill(sites, vertices, edges, cells)
+                 edges: tuple[VdEdge, ...], cells: tuple[VdCell, ...], U: int):
+        self._fill(sites, vertices, edges, cells, U)
 
     def as_dict(self) -> dict:
         def pt(p):
@@ -95,18 +105,6 @@ def make_sites(locations) -> list[Site]:
 def _apply_ops(ops, v):
     x, y = v
     for op in ops:
-        if op == "swap":
-            x, y = y, x
-        elif op == "fx":
-            x = -x
-        else:
-            y = -y
-    return (x, y)
-
-
-def _unapply_ops(ops, v):
-    x, y = v
-    for op in reversed(ops):
         if op == "swap":
             x, y = y, x
         elif op == "fx":
@@ -155,14 +153,10 @@ def _dom_chains(a, b):
         [(1, 0, cmx), (1, 1, cmx + cmy + g)],
         [(1, 1, cmx + cmy - g), (-1, 0, -cmx)],
     ]
-    out = []
-    for chain in canonical:
-        pulled = []
-        for ca, cb, cc in chain:
-            na, nb = _unapply_ops(ops, (ca, cb))
-            pulled.append((na, nb, cc))
-        out.append(pulled)
-    return out
+    # every op is its own inverse, so the reversed ops undo them
+    undo = ops[::-1]
+    return [[(*_apply_ops(undo, (ca, cb)), cc) for ca, cb, cc in chain]
+            for chain in canonical]
 
 
 def _clip(poly, hp):
@@ -203,6 +197,19 @@ def _area2(poly) -> int:
 
 def _dist(a, b):
     return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
+
+
+def _nearest(pts, q) -> frozenset[int]:
+    """Indices of the integer points nearest to q."""
+    d = [_dist(p, q) for p in pts]
+    best = min(d)
+    return frozenset(i for i, v in enumerate(d) if v == best)
+
+
+def _on_scale(p, s):
+    """The rational point p times s as integers; s is a multiple of every
+    denominator in p."""
+    return tuple(v.numerator * (s // v.denominator) for v in p)
 
 
 class _Builder:
@@ -261,9 +268,10 @@ class _Builder:
             for d, j in batch:
                 if d > 2 * radius:
                     continue
+                chains = _dom_chains(p, self.pts[j])
                 new = []
                 for poly in pieces:
-                    for chain in _dom_chains(p, self.pts[j]):
+                    for chain in chains:
                         q = poly
                         for hp in chain:
                             q = _clip(q, hp)
@@ -312,12 +320,10 @@ def build_voronoi(sites: list[Site], frame: Box | None = None) -> VoronoiDiagram
     """
     if not sites:
         raise UsageError("at least one site is required")
-    locs = [(Fraction(s.location[0]), Fraction(s.location[1])) for s in sites]
-    if len(set(locs)) != len(locs):
-        raise PreconditionError("site locations must be distinct")
     b = _Builder(sites, frame)
-    m = len(sites)
-    all_pieces = [b.cell_pieces(i) for i in range(m)]
+    if len(set(b.pts)) != len(b.pts):
+        raise PreconditionError("site locations must be distinct")
+    all_pieces = [b.cell_pieces(i) for i in range(len(sites))]
 
     claims: dict[tuple, list[tuple[int, int, int, int]]] = {}
     for i, pieces in enumerate(all_pieces):
@@ -372,24 +378,12 @@ def build_voronoi(sites: list[Site], frame: Box | None = None) -> VoronoiDiagram
                 touch.setdefault(_point_on(key, t), set()).update((i, j))
     vertex_pts = {p for p, cells in touch.items() if len(cells) >= 3}
 
-    def scan_nearest(pt_int) -> frozenset[int]:
-        best = None
-        out = []
-        for idx, s in enumerate(b.pts):
-            d = max(abs(pt_int[0] - s[0]), abs(pt_int[1] - s[1]))
-            if best is None or d < best:
-                best = d
-                out = [idx]
-            elif d == best:
-                out.append(idx)
-        return frozenset(out)
-
     U = b.U
 
     def out_pt(p) -> PlanarPoint:
         return (Fraction(p[0], U), Fraction(p[1], U))
 
-    vertices = tuple(VdVertex(out_pt(p), scan_nearest(p))
+    vertices = tuple(VdVertex(out_pt(p), _nearest(b.pts, p))
                      for p in sorted(vertex_pts))
 
     # edges: merge elementary segments into runs, then chain runs at bends
@@ -448,34 +442,29 @@ def build_voronoi(sites: list[Site], frame: Box | None = None) -> VoronoiDiagram
                                 frozenset(pair)))
     edges.sort(key=lambda e: e.chain)
 
-    cells = tuple(
-        VdCell(i, tuple(sorted(tuple(out_pt(v) for v in poly)
-                               for poly in all_pieces[i])))
-        for i in range(m)
-    )
-    return VoronoiDiagram(tuple(sites), vertices, tuple(edges), cells)
+    cells = tuple(VdCell(i, tuple(sorted(map(tuple, pieces))))
+                  for i, pieces in enumerate(all_pieces))
+    return VoronoiDiagram(tuple(sites), vertices, tuple(edges), cells, U)
 
 
 # ---------------------------------------------------------------------------
 # Queries.
 
 
-def _in_convex(poly, q) -> bool:
-    n = len(poly)
-    for i in range(n):
-        ax, ay = poly[i]
-        bx, by = poly[(i + 1) % n]
-        if (bx - ax) * (q[1] - ay) - (by - ay) * (q[0] - ax) < 0:
-            return False
-    return True
+def _in_convex(poly, k, qx, qy) -> bool:
+    """Whether (qx, qy) / k lies in the convex counterclockwise poly."""
+    return all((bx - ax) * (qy - k * ay) >= (by - ay) * (qx - k * ax)
+               for (ax, ay), (bx, by) in zip(poly, poly[1:] + poly[:1]))
 
 
 def locate(vd: VoronoiDiagram, q) -> int:
     """Index of a site whose cell contains the query point."""
-    qq = (Fraction(q[0]), Fraction(q[1]))
+    x, y = Fraction(q[0]), Fraction(q[1])
+    k = lcm(x.denominator, y.denominator)
+    qx, qy = _on_scale((x, y), vd.U * k)
     for cell in vd.cells:
         for poly in cell.pieces:
-            if _in_convex(poly, qq):
+            if _in_convex(poly, k, qx, qy):
                 return cell.site_index
     raise UsageError("query point lies outside the diagram frame")
 
@@ -489,69 +478,35 @@ def vd_candidates_in_rect(vd: VoronoiDiagram, dom: CenterDomain):
     box = dom.box
     if box.dimension != 2:
         raise UsageError("candidate extraction expects a planar domain")
-    x0, y0 = (Fraction(v) for v in box.lo)
-    x1, y1 = (Fraction(v) for v in box.hi)
-    locs = [(Fraction(s.location[0]), Fraction(s.location[1])) for s in vd.sites]
-
-    def scan(pt) -> frozenset[int]:
-        d = [max(abs(pt[0] - sx), abs(pt[1] - sy)) for sx, sy in locs]
-        best = min(d)
-        return frozenset(i for i, v in enumerate(d) if v == best)
-
-    pts: set[tuple] = set()
+    lo, hi = tuple(map(Fraction, box.lo)), tuple(map(Fraction, box.hi))
+    S = vd.U * lcm(*(v.denominator for v in lo + hi))
+    (x0, y0), (x1, y1) = _on_scale(lo, S), _on_scale(hi, S)
+    pts = {(x, y) for x in (x0, x1) for y in (y0, y1)}
     for v in vd.vertices:
-        if x0 <= v.point[0] <= x1 and y0 <= v.point[1] <= y1:
-            pts.add(v.point)
-    borders = [
-        ((x0, y0), (x1, y0)), ((x0, y1), (x1, y1)),
-        ((x0, y0), (x0, y1)), ((x1, y0), (x1, y1)),
-    ]
+        x, y = _on_scale(v.point, S)
+        if x0 <= x <= x1 and y0 <= y <= y1:
+            pts.add((x, y))
     for e in vd.edges:
-        for p, q in zip(e.chain, e.chain[1:]):
-            for bdr in borders:
-                pts.update(_cross_border(p, q, bdr))
-    for c in box.corners():
-        pts.add(c)
-    return [(p, scan(p)) for p in sorted(pts)]
+        chain = [_on_scale(p, S) for p in e.chain]
+        for p, q in zip(chain, chain[1:]):
+            for c in (x0, x1):
+                pts.update(_cross_border(p, q, c, y0, y1))
+            for c in (y0, y1):
+                pts.update((x, y) for y, x in
+                           _cross_border(p[::-1], q[::-1], c, x0, x1))
+    sites = [_on_scale(s.location, S) for s in vd.sites]
+    return [((Fraction(x, S), Fraction(y, S)), _nearest(sites, (x, y)))
+            for x, y in sorted(pts)]
 
 
-def _cross_border(p, q, bdr):
-    """Intersections of segment p-q (slope 0, inf, or +-1) with an
-    axis-parallel border segment; collinear overlaps yield their endpoints."""
-    (ax, ay), (bx, by) = bdr
-    out = []
-    if ay == by:
-        c, lo, hi = ay, min(ax, bx), max(ax, bx)
-        if p[1] == q[1]:
-            if p[1] == c:
-                s0, s1 = max(lo, min(p[0], q[0])), min(hi, max(p[0], q[0]))
-                if s0 <= s1:
-                    out += [(s0, c), (s1, c)]
-        else:
-            ylo, yhi = min(p[1], q[1]), max(p[1], q[1])
-            if ylo <= c <= yhi:
-                if p[0] == q[0]:
-                    x = p[0]
-                else:
-                    t = (c - p[1]) / (q[1] - p[1])
-                    x = p[0] + t * (q[0] - p[0])
-                if lo <= x <= hi:
-                    out.append((x, c))
-    if ax == bx:
-        c, lo, hi = ax, min(ay, by), max(ay, by)
-        if p[0] == q[0]:
-            if p[0] == c:
-                s0, s1 = max(lo, min(p[1], q[1])), min(hi, max(p[1], q[1]))
-                if s0 <= s1:
-                    out += [(c, s0), (c, s1)]
-        else:
-            xlo, xhi = min(p[0], q[0]), max(p[0], q[0])
-            if xlo <= c <= xhi:
-                if p[1] == q[1]:
-                    y = p[1]
-                else:
-                    t = (c - p[0]) / (q[0] - p[0])
-                    y = p[1] + t * (q[1] - p[1])
-                if lo <= y <= hi:
-                    out.append((c, y))
-    return out
+def _cross_border(p, q, c, lo, hi):
+    """Points where segment p-q (slope 0, inf or +-1) meets the border
+    x = c, lo <= y <= hi; a collinear overlap yields its two ends."""
+    (px, py), (qx, qy) = p, q
+    if px == qx:
+        s0, s1 = max(lo, min(py, qy)), min(hi, max(py, qy))
+        return [(c, s0), (c, s1)] if px == c and s0 <= s1 else []
+    if not min(px, qx) <= c <= max(px, qx):
+        return []
+    y = py + (c - px) * (qy - py) // (qx - px)  # exact: the slope is 0 or +-1
+    return [(c, y)] if lo <= y <= hi else []

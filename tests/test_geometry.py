@@ -200,7 +200,7 @@ _SHELL = Shell((F(1), F(-2), F(0)), F(5), F(3, 2))
 _SITE = Site((F(0), F(1, 3)), (0, 4))
 _VERTEX = VdVertex((F(1), F(1)), frozenset({0, 1, 2}))
 _EDGE = VdEdge(((F(0), F(0)), (F(2), F(2))), frozenset({0, 1}))
-_CELL = VdCell(0, (((F(0), F(0)), (F(1), F(0)), (F(0), F(1))),))
+_CELL = VdCell(0, (((0, 0), (8, 0), (0, 8)),))
 
 # each record, its field names, values for one instance of it, and
 # another value for its last field
@@ -227,8 +227,8 @@ RECORDS = [
     (VdEdge, ("chain", "nearest"), (_EDGE.chain, _EDGE.nearest),
      frozenset({1, 2})),
     (VdCell, ("site_index", "pieces"), (0, _CELL.pieces), ()),
-    (VoronoiDiagram, ("sites", "vertices", "edges", "cells"),
-     ((_SITE,), (_VERTEX,), (_EDGE,), (_CELL,)), ()),
+    (VoronoiDiagram, ("sites", "vertices", "edges", "cells", "U"),
+     ((_SITE,), (_VERTEX,), (_EDGE,), (_CELL,), 8), 16),
 ]
 
 

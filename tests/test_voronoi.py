@@ -110,6 +110,60 @@ class TestBuildVoronoi:
                 assert len(dset) == 1
 
 
+class TestOddDenominators:
+    """Sites with denominator 3, and queries and boxes with denominators
+    5 and 7, where the other tests use powers of 2: a query's own lcm
+    then has factors that the diagram's scale lacks."""
+
+    def _coord(self, rng, span):
+        return rand_fraction(rng, span, dens=(5, 7))
+
+    def _sites(self, rng, n):
+        return make_sites(sorted({(rand_fraction(rng, 30, dens=(3,)),
+                                   rand_fraction(rng, 30, dens=(3,)))
+                                  for _ in range(n)}))
+
+    def test_locate_is_nearest(self, rng):
+        for _ in range(6):
+            sites = self._sites(rng, 14)
+            locs = [s.location for s in sites]
+            vd = build_voronoi(sites)
+            queries = [v.point for v in vd.vertices]
+            for e in vd.edges:  # just off an edge, over 5 in x and 7 in y
+                (ax, ay), (bx, by) = e.chain[:2]
+                queries += [((ax + bx) / 2 + F(i, 320), (ay + by) / 2 + F(j, 448))
+                            for i in (-1, 1) for j in (-1, 1)]
+            for _ in range(60):
+                a, b = rng.choice(locs), rng.choice(locs)
+                queries += [(a[0], b[1]), (a[0], self._coord(rng, 30)),
+                            (self._coord(rng, 30), b[1]),
+                            (self._coord(rng, 30), self._coord(rng, 30))]
+            for q in queries:
+                best = min(_dist(q, s) for s in locs)
+                assert _dist(q, locs[locate(vd, q)]) == best
+
+    def test_candidates_reach_oracle_objective(self, rng):
+        for k in range(6):
+            sites = self._sites(rng, 12)
+            locs = [s.location for s in sites]
+            xs = sorted(self._coord(rng, 25) for _ in range(2))
+            ys = sorted(self._coord(rng, 25) for _ in range(2))
+            if k % 3 == 2:  # a segment box
+                ys[1] = ys[0]
+            box = Box((xs[0], ys[0]), (xs[1], ys[1]))
+            vd = build_voronoi(sites, frame=box if k % 2 else None)
+            cands = vd_candidates_in_rect(vd, CenterDomain(F(10), box, 0))
+
+            def best(p):
+                return min(_dist(p, s) for s in locs)
+            for p, near in cands:
+                assert box.contains(p)
+                assert near == {i for i, s in enumerate(locs)
+                                if _dist(p, s) == best(p)}
+            want = vd_candidate_oracle(locs, box)
+            assert max(best(p) for p, _ in cands) == max(map(best, want))
+
+
 class TestVdCandidatesInRect:
     def test_symmetric_sites_in_square_domain(self):
         vd = build_voronoi(_sites((-1, -1), (-1, 1), (1, -1), (1, 1)))

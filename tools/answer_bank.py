@@ -6,7 +6,8 @@ SRC is the ``src`` directory of a checkout, and the package is imported
 from there. Run it on two checkouts: they give the same answers on the
 banks exactly when they print the same lines. Each line names a bank,
 the number of answers in it and the first 16 hex digits of one sha256
-over the answers in order. An answer is ``repr(SolveResult)``, or the
+over the answers in order. An answer is the ``repr`` of a result (a
+``SolveResult``, or a diagram's records and query answers), or the
 standard output of ``cubeshell solve FILE``, or the name of the error
 raised. The banks:
 
@@ -18,6 +19,13 @@ raised. The banks:
   heights +-h/2 under two pins, sorted by height up or down, and with
   repeated rows; their planar axes span half to twice the height axis,
   so each solve runs a cap pass, on wide and on narrow center boxes;
+- ``voronoi``: 60 nearest-site diagrams of 1 to 30 sites, with site
+  denominators in turn from {1, 2, 4}, {1, 3, 7} and {1, 2, 4, 8}, every
+  other one built on a frame box; for each its ``as_dict()``, vertices and
+  edges, the ``vd_candidates_in_rect`` lists over three boxes (one a
+  point, one a segment), and the ``locate`` owners on 100 queries: random
+  points, points on site coordinate lines, vertices, edge points and
+  points outside the frame;
 - ``large``: ``generate_points`` uniform at 20,000 and slab at 3,000
   points, in 2D and 3D, seeds 1 and 2;
 - ``timed-W``: the sixteen timed instances of benchmark workload W for
@@ -109,6 +117,49 @@ def _capped_rows(rng: random.Random, family: int, d: int):
     return base + [list(rng.choice(base)) for _ in range(n - len(base))]
 
 
+def _voronoi_answers(rng: random.Random, k: int):
+    from cubeshell.geometry import Box, CenterDomain
+    from cubeshell.voronoi import (build_voronoi, locate, make_sites,
+                                   vd_candidates_in_rect)
+    dens = ((1, 2, 4), (1, 3, 7), (1, 2, 4, 8))[k % 3]
+
+    def coord(span):
+        q = rng.choice(dens)
+        return Fraction(rng.randint(-span * q, span * q), q)
+
+    def box(kind):
+        xs = sorted(coord(30) for _ in range(2))
+        ys = sorted(coord(30) for _ in range(2))
+        if kind == 1:  # a point
+            xs[1], ys[1] = xs[0], ys[0]
+        elif kind == 2:  # a segment
+            ys[1] = ys[0]
+        return Box((xs[0], ys[0]), (xs[1], ys[1]))
+
+    sites = make_sites(sorted({(coord(40), coord(40))
+                               for _ in range(rng.randint(1, 30))}))
+    vd = build_voronoi(sites, box(0) if k % 2 else None)
+    yield repr(vd.as_dict())
+    yield repr(vd.vertices)
+    yield repr(vd.edges)
+    for kind in range(3):
+        yield _answer(vd_candidates_in_rect, vd,
+                      CenterDomain(Fraction(10), box(kind), 0))
+    locs = [s.location for s in sites]
+    marks = [v.point for v in vd.vertices] + [p for e in vd.edges
+                                              for p in e.chain]
+    for i in range(100):
+        if i % 4 == 0:  # on a site's coordinate lines
+            q = (rng.choice(locs)[0], rng.choice(locs)[1])
+        elif i % 4 == 1 and marks:  # a vertex or an edge point
+            q = rng.choice(marks)
+        elif i % 20 == 2:  # far outside the frame
+            q = (coord(40) * 1000, coord(40))
+        else:
+            q = (coord(45), coord(45))
+        yield _answer(locate, vd, q)
+
+
 def _digest(answers) -> tuple[int, str]:
     h = hashlib.sha256()
     count = 0
@@ -142,6 +193,8 @@ def banks(tmp: Path):
         yield f"capped-{d}d", (
             _answer(solve, point_set(_capped_rows(rng, k % 7, d)))
             for k in range(210))
+    rng = random.Random(3000)
+    yield "voronoi", (a for k in range(60) for a in _voronoi_answers(rng, k))
     yield "large", (
         _answer(solve, generate_points(n, d, dist, seed))
         for dist, n in (("uniform", 20_000), ("slab", 3_000))
