@@ -7,8 +7,8 @@ per axis, and the O(n) passes run column by column in C-level
 ``map``/``sorted``/``compress`` calls. Before either search, the d = 2
 and d = 3 solvers bound r* by B (``_capped``): the heights |z| <= B are
 the plateau's candidates, and only their rows within B + L of the center
-box on every box axis (L its longest side), on uniform input a few
-dozen, are framed for the searches and the inner contacts. That is exact
+box on every box axis (L its longest side), on uniform input one or
+two, are framed for the searches and the inner contacts. That is exact
 as r* <= B and the diagram search keeps no site farther than r2 + L from
 the box. The outer contacts are the touched extremes of the input. Both
 solvers are one function over the k = d - 1 free axes of the center box,
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import compress, repeat
-from math import floor
 from operator import itemgetter, sub
 
 from .errors import UnsupportedDimensionError, UsageError
@@ -82,19 +81,25 @@ def _capped(ps: PointSet):
     nearest site's distance to its midpoint.
 
     B is the least cap over a stride sample of SAMPLE rows. A pass keeps
-    the rows in both windows and repeats on them while it halves them.
-    heights is None when the framed rows hold every candidate.
+    the rows in both windows and repeats on them while it halves them;
+    once one leaves at most SAMPLE rows, a last pass takes B over all of
+    them. That B is B*, the least cap of all rows: the row with the least
+    cap is in every band and window, as its |z| and box offsets are at
+    most its cap, so at most any B. The candidates are then the heights
+    |z| <= B* and the framed rows those within B* + L, whatever the
+    sample. heights is None when the framed rows hold every candidate.
     """
     fm = frame_map(ps)
     _, cols, mins, maxs = ps._scaled
     spans = list(zip(fm.box[0::2], fm.box[1::2]))
     L = max(a1 - a0 for a0, a1 in spans)
     s, mid, Z = fm.s, fm.mid, cols[fm.order[-1]]
-    idx, low = range(len(ps)), None
-    while len(idx) > SAMPLE:
+    idx, low, exact = range(len(ps)), None, len(ps) <= SAMPLE
+    while not exact:
         m = len(idx)
-        *planar, Zs = fm.frame([_rows(col, idx[::m // SAMPLE])
-                                for col in cols]).cols
+        step = m // SAMPLE or 1
+        exact = step == 1
+        *planar, Zs = fm.frame([_rows(col, idx[::step]) for col in cols]).cols
         terms = [map(abs, Zs)]
         for col, (a0, a1) in zip(planar, spans):
             terms += [map(sub, col, repeat(a0)), map(sub, repeat(a1), col)]
@@ -107,7 +112,7 @@ def _capped(ps: PointSet):
             lo, hi, col = -((B + L - a0) // s), (a1 + B + L) // s, cols[a]
             if lo > mins[a] or hi < maxs[a]:
                 idx = [i for i in idx if lo <= col[i] <= hi]
-        if 2 * len(idx) > m:
+        if len(idx) > SAMPLE and 2 * len(idx) > m:
             break
     heights = (None if low is None or len(low) == len(idx)
                else sorted(s * abs(Z[i] - mid) for i in low))
@@ -162,6 +167,11 @@ def solve_plateau_case(psn: PointSet | IntFrame, heights=None):
     and the candidates are heights, sorted frame integers, by default the
     points' own. Returns (level, center); the lowest level is feasible,
     as no cube is active there.
+
+    The top candidate t is tested first, the rest only when it fails. On
+    ``_capped``'s candidates, |z| <= B*, it fails on no point box: a point
+    lower than t has cap >= B* >= t, so its planar distance to the center
+    is at least t and its open square misses it.
     """
     fr = _frame_of(psn)
     *planar, Z = fr.cols
@@ -175,7 +185,10 @@ def solve_plateau_case(psn: PointSet | IntFrame, heights=None):
         k = bisect_left(own, h)
         return uncovered([col[:k] for col in cols], h, fr.box)
 
-    level, hit, _ = _largest_feasible([[heights, 0, 0, len(heights)]], test)
+    level = heights[-1]
+    if (hit := test(level)) is None:
+        level, hit, _ = _largest_feasible(
+            [[heights, 0, 0, bisect_left(heights, level)]], test)
     return fr.value(level), tuple(map(fr.value, hit))
 
 
@@ -208,7 +221,8 @@ def solve_voronoi_case(psn: PointSet | IntFrame, level: Scalar | None = None):
     fr = _frame_of(psn)
     *planar, Z = fr.cols
     # heights are frame integers, so |z| <= level exactly when |z| <= floor
-    top = max(map(abs, Z)) if level is None else floor(level * fr.U)
+    top = (max(map(abs, Z)) if level is None
+           else level.numerator * fr.U // level.denominator)
     low = list(map(top.__ge__, map(abs, Z)))
     if True not in low:
         return None, 0
@@ -269,7 +283,7 @@ def _contacts(ps: PointSet, kept, center_planar: PlanarPoint,
     h, box = fr.half, fr.box
     _, src, mins, maxs = ps._scaled
     *planar, last = fr.nrm.axis_order
-    centers = [int(c * fr.U) for c in center_planar]
+    centers = [c.numerator * fr.U // c.denominator for c in center_planar]
     ends = {(last, mins[last]), (last, maxs[last])}
     for a, c, a0, a1 in zip(planar, centers, box[0::2], box[1::2]):
         if c == a1:
@@ -281,7 +295,7 @@ def _contacts(ps: PointSet, kept, center_planar: PlanarPoint,
     ranges = [(a1 - h, a0 + h) for a0, a1 in zip(box[0::2], box[1::2])]
     ranges.append((-h, h))
     axes = list(zip(fr.cols, centers + [0]))
-    v = int(rstar * fr.U)
+    v = rstar.numerator * fr.U // rstar.denominator
     hits = {i for (col, c), (lo, hi) in zip(axes, ranges)
             for t in {c - v, c + v} if lo <= t <= hi
             for i in _positions(col, t)}

@@ -21,7 +21,7 @@ from cubeshell.shell import Shell, inner_radius_at, lift, shell_encloses
 from cubeshell.solver import (SolveResult, _capped, _contacts,
                               _largest_feasible, solve, solve1d, solve2d,
                               solve3d, solve_plateau_case, solve_voronoi_case)
-from cubeshell.squares import uncovered_scaled
+from cubeshell.squares import uncovered, uncovered_scaled
 from cubeshell.voronoi import build_voronoi, make_sites, vd_candidates_in_rect
 
 F = Fraction
@@ -232,6 +232,25 @@ class TestVoronoiCase:
         total = sum(solve(generate_points(50, 3, "slab", s)).candidate_count
                     for s in range(1, 17))
         assert total < 170
+
+    def test_level_off_the_frame_grid(self, rng):
+        # a level whose denominator does not divide U keeps the sites with
+        # |z| <= floor(level * U): just below a height h it drops the sites
+        # at h, just above it keeps them
+        moved = 0
+        for _ in range(40):
+            fr = int_frame(_slab_points(rng, rng.randint(3, 30)))
+            q = next(q for q in (3, 5, 7, 11, 13) if fr.U % q)
+            h = rng.choice([abs(z) for z in fr.cols[2] if z])
+            got = []
+            for t in (-1, 1):
+                level = F(h * q + t, fr.U * q)
+                assert fr.U % level.denominator
+                got.append(solve_voronoi_case(fr, level))
+                assert got[-1] == solve_voronoi_case(
+                    fr, fr.value(floor(level * fr.U)))
+            moved += got[0] != got[1]
+        assert moved >= 5
 
 
 def _slab_points(rng, n):
@@ -630,9 +649,8 @@ class TestCapped:
         monkeypatch.setattr(solver, "solve_plateau_case",
                             lambda fr, heights: seen.append((fr, heights))
                             or search(fr, heights))
-        # the framed rows, and as candidates every height |z| <= B: a
-        # 64-point sample's least cap keeps about 64 ** (-1 / 3), a
-        # quarter, of uniform heights, and a second pass fewer
+        # the framed rows, and as candidates every height |z| <= B*, the
+        # least cap of all rows: 925, 836 and 304 of these 20,000 heights
         for s in (1, 2, 3):
             ps = generate_points(20_000, 3, "uniform", s)
             solve(ps)
@@ -653,9 +671,9 @@ class TestCapped:
 
     def test_searches_get_only_rows_within_reach(self, monkeypatch):
         # Each pass keeps the rows with |z| <= B that lie within B + L of
-        # the box, and passes repeat while they halve the rows: here both
-        # searches get 9, 2 and 1 rows, against 925, 1,901 and 4,080 when
-        # a pass keeps every row with |z| <= B
+        # the box, passes repeat while they halve the rows, and a last one
+        # takes B* over the rows left: here both searches get one row,
+        # against the 925, 836 and 304 rows with |z| <= B*
         seen = []
         plateau, diagram = solver.solve_plateau_case, solver.solve_voronoi_case
         monkeypatch.setattr(solver, "solve_plateau_case",
@@ -666,7 +684,7 @@ class TestCapped:
                             or diagram(fr, r1))
         for s in (1, 2, 3):
             solve(generate_points(20_000, 3, "uniform", s))
-            assert len(seen) == 2 and max(seen) <= solver.SAMPLE
+            assert seen == [1, 1]
             seen.clear()
 
     def test_low_site_beyond_b_of_a_wide_box(self):
@@ -687,6 +705,72 @@ class TestCapped:
         assert fr.box == (-40, 40, -40, 40)  # U = 2
         assert solve(ps) == _staged_3d(fr)
         assert _capped(ps)[1:] == ([0, 1], None)
+
+    def test_is_canonical(self, rng):
+        # once a pass leaves at most SAMPLE rows, a last one takes B* over
+        # them, the least cap of all rows: the output does not hang on
+        # which rows the stride sample held
+        sets = [generate_points(20_000, d, "uniform", s)
+                for d in (2, 3) for s in (1, 2, 3)]
+        sets += [_capped_family(rng, rng.randint(200, 400), 2 + k % 2, 0)
+                 for k in range(40)]
+        for ps in sets:
+            fr = int_frame(ps)
+            B = min(map(_cap, fr, repeat(fr.box)))
+            _check_capped_at(ps, fr, B)
+        # a slab whose first pass keeps more than SAMPLE rows, and more
+        # than half, stops there, on the sample's B
+        for d in (2, 3):
+            for s in (1, 2, 3):
+                ps = generate_points(3_000, d, "slab", s)
+                fr = int_frame(ps)
+                B = min(map(_cap, list(fr)[::len(fr) // solver.SAMPLE],
+                            repeat(fr.box)))
+                assert _check_capped_at(ps, fr, B) > max(solver.SAMPLE, 1_500)
+
+    def test_plateau_search_tests_the_top_candidate_first(self, rng,
+                                                          monkeypatch):
+        # on the candidates |z| <= B* the top one is feasible on these
+        # sets, so the search runs one sweep, against 4 to 6 on the 3D
+        # sets and 2 to 4 on the 2D ones when it searches every candidate
+        sweeps = []
+        monkeypatch.setattr(solver, "uncovered",
+                            lambda *a: sweeps.append(a) or uncovered(*a))
+        for d in (2, 3):
+            for s in (1, 2, 3):
+                fr, _, heights = _capped(generate_points(20_000, d, "uniform", s))
+                solve_plateau_case(fr, heights)
+                assert len(sweeps) == 1
+                sweeps.clear()
+        # and so it is on every point box: a point lower than the top
+        # candidate has cap >= B* >= it, so its square misses the box
+        points = 0
+        for k in range(300):
+            ps = _capped_family(rng, rng.randint(65, 200), 2 + k % 2, k // 2 % 7)
+            fr, _, heights = _capped(ps)
+            if fr.box[0::2] == fr.box[1::2]:
+                points += 1
+                solve_plateau_case(fr, heights)
+                assert len(sweeps) == 1
+            sweeps.clear()
+        assert points >= 20
+
+
+def _check_capped_at(ps, fr, B):
+    """_capped(ps) keeps the rows with |z| <= B within B + L of the box
+    and, when it drops one of those with |z| <= B, has their heights as
+    candidates; returns how many rows it kept."""
+    spans = list(zip(fr.box[0::2], fr.box[1::2]))
+    reach = B + max(a1 - a0 for a0, a1 in spans)
+    low = [i for i, p in enumerate(fr) if abs(p[-1]) <= B]
+    idx = [i for i in low if all(a0 - reach <= col[i] <= a1 + reach
+                                 for col, (a0, a1) in zip(fr.cols, spans))]
+    heights = (None if len(idx) == len(low)
+               else sorted(abs(fr.cols[-1][i]) for i in low))
+    sub, got_idx, got_heights = _capped(ps)
+    assert (list(got_idx), got_heights) == (idx, heights)
+    assert list(sub) == [tuple(col[i] for col in fr.cols) for i in idx]
+    return len(idx)
 
 
 def _check_capped(ps, monkeypatch):
